@@ -212,20 +212,17 @@ def reconstruct(spec: DynamicalSystemSpec, samples: SampleSet,
     lattice = spec.lattice()
     if tuple(samples.indices) != lattice:
         raise IndexMismatch("sample index set does not match the system lattice")
+    vals = np.asarray(samples.values)
+    if weights is None:
+        dual = dynamical_dual(spec, tol)
+        return iterate(dual.as_spec()).matrix @ vals
+
     frame = iterate(spec)
     report = analyze(frame, tol)
     if not report.is_frame:
         raise NotAFrame(f"iterated system has lower bound {report.lower_bound:.3e}")
-
-    vals = np.asarray(samples.values)
-    if weights is not None:
-        w = np.asarray(getattr(weights, "weights", weights), dtype=float).ravel()
-        if w.shape[0] != frame.size:
-            raise IndexMismatch(
-                f"{w.shape[0]} weights for {frame.size} iterated vectors")
-        coeff = (w ** 2) * vals
-        return frame.matrix @ coeff
-
-    dual = dynamical_dual(spec, tol)
-    dual_frame = iterate(dual.as_spec())
-    return dual_frame.matrix @ vals
+    w = np.asarray(getattr(weights, "weights", weights), dtype=float).ravel()
+    if w.shape[0] != frame.size:
+        raise IndexMismatch(
+            f"{w.shape[0]} weights for {frame.size} iterated vectors")
+    return frame.matrix @ ((w ** 2) * vals)

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
 
 from .errors import NotHermitian, NotNormal, NumericalFailure
 
@@ -19,6 +18,10 @@ DEFAULT_TOL = 1e-9
 # (degenerate rays such as x1 = x2 free); real scaling problems are
 # trace-bounded and never reach it.
 MARGIN_CAP = 1e6
+
+# Singular values of [aeq | beq] below this fraction of the largest are
+# rounding noise; their directions are dropped before the LP sees them.
+_RANGE_RCOND = 1e-12
 
 _LP_OPTIONS = {
     "primal_feasibility_tolerance": 1e-10,
@@ -156,14 +159,30 @@ class InfeasibleWitness:
     system_rhs: np.ndarray
 
 
-def nonneg_feasible(aeq, beq, strict: bool = False, tol: float = DEFAULT_TOL):
+def linprog(c, **kwargs):
+    """scipy.optimize.linprog, imported on first use.
+
+    Only the scaling LP needs scipy.optimize, so commands that never
+    solve one do not pay for its import.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+    return scipy_linprog(c, **kwargs)
+
+
+def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
     """Solve aeq @ x = beq, x >= 0, maximizing the smallest entry of x.
 
     Returns Feasible(x, margin) where margin is the maximized min entry
     (capped at MARGIN_CAP on unbounded rays), or an InfeasibleWitness.
-    The same program is solved whether or not strict is set; callers
-    decide strictness by comparing margin against their tolerance, so
-    results are identical across both modes.
+    Callers decide strictness by comparing margin against their
+    tolerance.
+
+    Both programs see the system projected onto an orthonormal basis Q
+    of the range of [aeq | beq]: Q'aeq x = Q'beq has the same solutions
+    and at most rank([aeq | beq]) rows.  The max-min program is posed in
+    x = z + t 1 with z >= 0, so "x_i >= t" is a variable bound and not a
+    row.  A witness y_c of the projected system maps back as y = Q y_c,
+    in the row space and row order of aeq.
     """
     aeq = np.asarray(aeq, dtype=float)
     beq = np.asarray(beq, dtype=float).ravel()
@@ -177,19 +196,22 @@ def nonneg_feasible(aeq, beq, strict: bool = False, tol: float = DEFAULT_TOL):
     if not (np.all(np.isfinite(aeq)) and np.all(np.isfinite(beq))):
         raise ValueError("system entries must be finite")
 
-    # variables (x_0..x_{k-1}, t); maximize t with x_i >= t
+    _, _, q = svd_rank(np.column_stack([aeq, beq]), _RANGE_RCOND)
+    a_c = q.T @ aeq
+    b_c = q.T @ beq
+
+    # variables (z_0..z_{k-1}, t) with x = z + t 1; maximize t
     cost = np.zeros(ncols + 1)
     cost[-1] = -1.0
-    a_ub = np.hstack([-np.eye(ncols), np.ones((ncols, 1))])
-    a_eq = np.hstack([aeq, np.zeros((nrows, 1))])
+    a_eq = np.column_stack([a_c, a_c.sum(axis=1)])
     bounds = [(0.0, None)] * ncols + [(0.0, MARGIN_CAP)]
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(ncols), A_eq=a_eq, b_eq=beq,
-                  bounds=bounds, method="highs", options=_LP_OPTIONS)
+    res = linprog(cost, A_eq=a_eq, b_eq=b_c, bounds=bounds, method="highs",
+                  options=_LP_OPTIONS)
 
     if res.status == 0:
-        x = np.array(res.x[:ncols])
-        # project back onto the equality set; LP vertices are accurate but
-        # a least-squares polish costs nothing at this scale
+        x = res.x[:ncols] + res.x[-1]
+        # project back onto the original equality set; LP vertices are
+        # accurate but a least-squares polish costs nothing at this scale
         residual = beq - aeq @ x
         if np.linalg.norm(residual, np.inf) > 1e-14:
             dx = np.linalg.lstsq(aeq, residual, rcond=None)[0]
@@ -199,13 +221,13 @@ def nonneg_feasible(aeq, beq, strict: bool = False, tol: float = DEFAULT_TOL):
         return Feasible(x=x, margin=float(x.min()))
 
     if res.status == 2:
-        w = linprog(-beq, A_ub=aeq.T, b_ub=np.zeros(ncols),
-                    bounds=[(-1.0, 1.0)] * nrows, method="highs", options=_LP_OPTIONS)
+        w = linprog(-b_c, A_ub=a_c.T, b_ub=np.zeros(ncols),
+                    bounds=[(-1.0, 1.0)] * q.shape[1], method="highs", options=_LP_OPTIONS)
         if w.status != 0:
             raise NumericalFailure("witness program did not solve")
-        y = np.array(w.x)
+        y = q @ w.x
         gap = float(beq @ y)
-        viol = float(np.max(aeq.T @ y)) if ncols else 0.0
+        viol = float(np.max(aeq.T @ y))
         if gap <= tol or viol > tol:
             raise NumericalFailure("infeasibility reported but no valid Farkas witness found")
         return InfeasibleWitness(y=y, gap=gap, max_violation=viol,

@@ -100,13 +100,34 @@ def diagram_vector(f, field: Optional[str] = None) -> DiagramVector:
     return DiagramVector(dim=n, field=field, entries=entries)
 
 
+def _diagram_columns(m, field: str) -> np.ndarray:
+    """Diagram vectors of all columns of m at once, one output column each.
+
+    Each column holds the entries diagram_vector gives for that column
+    of m in the same field convention.
+    """
+    n, k = m.shape
+    if n == 1:
+        return np.zeros((0, k))
+    iu, ju = np.triu_indices(n, 1)
+    scale = 1.0 / np.sqrt(n - 1.0)
+    if field == "real":
+        fr = np.asarray(m, dtype=float)
+        diffs = fr[iu] ** 2 - fr[ju] ** 2
+        prods = np.sqrt(2.0 * n) * fr[iu] * fr[ju]
+    else:
+        fc = np.asarray(m, dtype=complex)
+        sq = (fc * fc.conj()).real
+        diffs = sq[iu] - sq[ju]
+        p = np.sqrt(float(n)) * fc[iu] * fc[ju].conj()
+        prods = np.stack([p.real, p.imag], axis=1).reshape(-1, k)
+    return scale * np.vstack([diffs, prods])
+
+
 def tight_via_diagram(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     """Tightness test: the diagram vectors of a tight frame sum to zero."""
-    total = None
-    for v in frame.vectors:
-        d = diagram_vector(v, field=frame.field)
-        total = d.entries if total is None else total + d.entries
-    mass = float(sum(np.linalg.norm(v) ** 2 for v in frame.vectors))
+    total = _diagram_columns(frame.matrix, frame.field).sum(axis=1)
+    mass = float(np.sum(np.abs(frame.matrix) ** 2))
     return float(np.linalg.norm(total)) <= tol * mass
 
 
@@ -149,17 +170,37 @@ def _certificate(frame: Frame, feas: Feasible, tol: float) -> ScalingCertificate
                               margin=feas.margin)
 
 
+def _sound_witness(w: InfeasibleWitness, n: int) -> InfeasibleWitness:
+    """Return w if it proves infeasibility, else raise NumericalFailure.
+
+    The first n rows of the system are the diagonal ones, with rhs 1;
+    their sum reads sum_i c_i x_i = n, where c_i = |f_i|^2.  Any feasible
+    x >= 0 then gives y'b = (y'A) x <= n max_i max((y'A)_i, 0) / c_i, so a
+    gap above that bound leaves no feasible x.  A zero column has
+    (y'A)_i = 0 and adds nothing.
+    """
+    c = w.system_matrix[:n].sum(axis=0)
+    ya = np.clip(w.y @ w.system_matrix, 0.0, None)
+    bound = n * float(np.max(np.divide(ya, c, out=np.zeros_like(ya), where=c > 0)))
+    if not w.gap > bound:
+        raise NumericalFailure(f"undecided: witness gap {w.gap:.3e} does not clear "
+                               f"its soundness bound {bound:.3e}")
+    return w
+
+
 def solve_scaling(frame: Frame, strict: bool = False, tol: float = DEFAULT_TOL):
     """Weights w_i >= 0 with sum w_i^2 f_i f_i* = I, or a Farkas witness.
 
     The solver always maximizes the minimum of x = w^2, so the margin
     field is meaningful whether or not strict is requested; the strict
-    flag on the certificate records margin > tol.
+    flag on the certificate records margin > tol.  A witness is returned
+    only when its gap clears the soundness bound of the trace row; any
+    other infeasibility report raises NumericalFailure ("undecided").
     """
     aeq, beq = _scaling_system(frame)
-    res = nonneg_feasible(aeq, beq, strict=strict, tol=tol)
+    res = nonneg_feasible(aeq, beq, tol=tol)
     if isinstance(res, InfeasibleWitness):
-        return res
+        return _sound_witness(res, frame.dim)
     return _certificate(frame, res, tol)
 
 
@@ -171,9 +212,8 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     Returns (Gramian of the diagram vectors, orthonormal basis of its
     null space, whether a nonnegative nonzero null vector exists).
     """
-    cols = [v / np.linalg.norm(v) for v in frame.vectors]
-    diag = np.column_stack([diagram_vector(v, field=frame.field).entries
-                            for v in cols]) if frame.dim > 1 else np.zeros((0, len(cols)))
+    unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)
+    diag = _diagram_columns(unit, frame.field)
     gram = diag.T @ diag
     gram = (gram + gram.T) / 2.0
     k = gram.shape[0]
@@ -247,7 +287,7 @@ def solve_diagonal_system(system: DiagonalScalingSystem, tol: float = DEFAULT_TO
     """
     res = nonneg_feasible(system.matrix, system.rhs, tol=tol)
     if isinstance(res, InfeasibleWitness):
-        return res
+        return _sound_witness(res, system.diag.shape[0])
     cols = []
     for s, j in system.unknown_index:
         cols.append(system.diag ** j * system.generators[s])
@@ -273,7 +313,7 @@ def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
     system = build_diagonal_system(np.diag(d), reduced.generators, iters)
     res = nonneg_feasible(system.matrix, system.rhs, tol=tol)
     if isinstance(res, InfeasibleWitness):
-        return res
+        return _sound_witness(res, spec.dim)
     return _certificate(iterate(spec), res, tol)
 
 

@@ -120,7 +120,7 @@ class TestNonnegFeasible:
         assert abs(res.margin - 0.5) < 1e-9
 
     def test_symmetric_ray_strict(self):
-        res = nonneg_feasible(np.array([[1.0, -1.0]]), np.array([0.0]), strict=True)
+        res = nonneg_feasible(np.array([[1.0, -1.0]]), np.array([0.0]))
         assert isinstance(res, Feasible)
         assert abs(res.x[0] - res.x[1]) < 1e-9
         assert res.margin > DEFAULT_TOL

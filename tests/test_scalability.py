@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynframe import scalability
 from dynframe.dynamics import DynamicalSystemSpec, iterate
-from dynframe.errors import NotNormal, TemplateMismatch, ZeroVector
+from dynframe.errors import NotNormal, NumericalFailure, TemplateMismatch, ZeroVector
 from dynframe.frames import Frame, analyze
 from dynframe.instances import (random_diagonal_data, random_frame,
                                 random_parseval, random_scalable_frame,
                                 random_unitary)
 from dynframe.numkernel import DEFAULT_TOL, Feasible, InfeasibleWitness, nonneg_feasible
-from dynframe.scalability import (ScalingCertificate, build_diagonal_system,
+from dynframe.scalability import (ScalingCertificate, _diagram_columns,
+                                  _scaling_system, build_diagonal_system,
                                   diagram_vector, gramian_scaling_check,
                                   normal_scalability,
                                   real_one_vector_obstruction,
@@ -57,6 +59,17 @@ class TestDiagramVector:
 
     def test_dimension_one_is_empty(self):
         assert len(diagram_vector(np.array([2.0])).entries) == 0
+
+    def test_all_columns_match_reference(self, rng):
+        for n in range(1, 9):
+            for field in ("real", "complex"):
+                m = rng.standard_normal((n, 6))
+                if field == "complex":
+                    m = m + 1j * rng.standard_normal((n, 6))
+                got = _diagram_columns(m, field)
+                ref = [diagram_vector(m[:, i], field=field).entries for i in range(6)]
+                assert got.shape == (len(ref[0]), 6)
+                assert np.allclose(got, np.column_stack(ref), rtol=0.0, atol=1e-14)
 
 
 class TestTightViaDiagram:
@@ -127,6 +140,86 @@ class TestSolveScaling:
         cert = solve_scaling(fr)
         assert isinstance(cert, ScalingCertificate)
         assert cert.residual <= DEFAULT_TOL
+
+
+class TestSizeLadder:
+    # frames scalable by construction beyond the sizes the other tests
+    # draw: each needs a certificate, never a witness or "undecided"
+    @pytest.mark.parametrize("n", [6, 8, 10, 12, 16, 20])
+    def test_draws_get_certificates(self, n):
+        for s in range(20):
+            rng = np.random.default_rng(1000 * n + s)
+            k = int(rng.integers(2 * n, 5 * n))
+            frame, _ = random_scalable_frame(rng, n, k)
+            res = solve_scaling(frame)
+            assert isinstance(res, ScalingCertificate), (n, s)
+            assert res.residual <= DEFAULT_TOL, (n, s)
+
+    def test_forty_by_two_hundred(self):
+        frame, _ = random_scalable_frame(np.random.default_rng(40200), 40, 200)
+        res = solve_scaling(frame)
+        assert isinstance(res, ScalingCertificate)
+        assert res.residual <= DEFAULT_TOL
+        assert gramian_scaling_check(frame)[2]
+
+
+class TestWitnessSoundness:
+    @staticmethod
+    def _obstructed_frame():
+        # the third draw of acceptance criterion 09: one column has
+        # squared norm about 2e-11, so a bound that divides the largest
+        # violation by the smallest norm is far looser than per column
+        rng = np.random.default_rng(1009)
+        for _ in range(3):
+            a = rng.standard_normal(3)
+            v = rng.standard_normal(3)
+            l = int(rng.integers(1, 13))
+        return iterate(DynamicalSystemSpec.single(np.diag(a), v, l))
+
+    def test_witness_clears_per_column_bound(self):
+        frame = self._obstructed_frame()
+        res = solve_scaling(frame)
+        assert isinstance(res, InfeasibleWitness)
+        aeq, beq = _scaling_system(frame)
+        assert np.array_equal(res.system_matrix, aeq)
+        norms = np.sum(np.abs(frame.matrix) ** 2, axis=0)
+        bound = 3 * np.max(np.clip(res.y @ aeq, 0.0, None) / norms)
+        assert res.gap == pytest.approx(res.y @ beq)
+        assert res.gap > bound
+
+    def test_zero_iterate_adds_nothing_to_the_bound(self):
+        # A e1 = 0, so the diagonal system has two zero columns (|f_i|^2 = 0)
+        res = normal_scalability(np.diag([0.0, 1.0, 2.0]), [np.array([1.0, 0.0, 0.0])], [2])
+        assert isinstance(res, InfeasibleWitness)
+
+    def test_pushed_witness_is_undecided(self, monkeypatch):
+        # push y along a direction d with d'b = 0 and d'a_i > 0 for the
+        # column i of largest norm: the gap stays, (y'A)_i grows, and the
+        # witness stops being a proof once n (y'A)_i / |f_i|^2 passes it
+        frame = self._obstructed_frame()
+        w = solve_scaling(frame)
+        aeq, beq = _scaling_system(frame)
+        norms = np.sum(np.abs(frame.matrix) ** 2, axis=0)
+        i = int(np.argmax(norms))
+        d = aeq[:, i] - (aeq[:, i] @ beq) / (beq @ beq) * beq
+
+        def pushed(fraction):
+            s = (fraction * w.gap * norms[i] / 3 - w.y @ aeq[:, i]) / (d @ aeq[:, i])
+            y = w.y + s * d
+            return InfeasibleWitness(y=y, gap=float(y @ beq),
+                                     max_violation=float(np.max(y @ aeq)),
+                                     system_matrix=aeq, system_rhs=beq)
+
+        half = pushed(0.5)
+        monkeypatch.setattr(scalability, "nonneg_feasible", lambda *a, **kw: half)
+        # still a proof, though max(y'A) / min |f|^2 is some 1e11 times the gap
+        assert half.max_violation * 3 / norms.min() > 1e6 * half.gap
+        assert solve_scaling(frame) is half
+
+        double = pushed(2.0)
+        monkeypatch.setattr(scalability, "nonneg_feasible", lambda *a, **kw: double)
+        with pytest.raises(NumericalFailure, match="undecided"):
+            solve_scaling(frame)
 
 
 class TestGramianOracle:
