@@ -30,7 +30,7 @@ def main():
     print(f"{'alpha':>8}  {'margin':>11}  status")
     best = (None, -np.inf)
     for alpha in angles:
-        res = solve_scaling(iterate(system_at(alpha)), strict=True, tol=args.tol)
+        res = solve_scaling(iterate(system_at(alpha)), tol=args.tol)
         if isinstance(res, ScalingCertificate):
             status = "strict" if res.strict else "boundary"
             print(f"{alpha:8.4f}  {res.margin:11.4e}  {status}")
@@ -40,7 +40,7 @@ def main():
             print(f"{alpha:8.4f}  {'-':>11}  infeasible")
 
     alpha = 2 * np.pi / 3
-    res = solve_scaling(iterate(system_at(alpha)), strict=True, tol=args.tol)
+    res = solve_scaling(iterate(system_at(alpha)), tol=args.tol)
     print(f"\nat alpha = 2*pi/3 = {alpha:.6f}:")
     if isinstance(res, ScalingCertificate):
         print(f"  weights^2 = {np.round(res.squares, 6)}")

@@ -30,7 +30,7 @@ from .constructions import (BlockDiagSpec, CompanionSpec, TwoParamBlock,
                             block_diag, check_2scale, check_2x4, companion,
                             embed, harmonic, multigen_rotation, r3_structured,
                             rotation_system, tight_2x3)
-from .verify import SUITE_NAMES, SuiteResult, run_suite, run_suites
+from .verify import SUITE_NAMES, SuiteResult, run_suite
 
 __all__ = [
     "AllZeroCoefficients", "CriterionFailed", "DegenerateTrace",
@@ -53,7 +53,7 @@ __all__ = [
     "BlockDiagSpec", "CompanionSpec", "TwoParamBlock", "block_diag",
     "check_2scale", "check_2x4", "companion", "embed", "harmonic",
     "multigen_rotation", "r3_structured", "rotation_system", "tight_2x3",
-    "SUITE_NAMES", "SuiteResult", "run_suite", "run_suites",
+    "SUITE_NAMES", "SuiteResult", "run_suite",
     "__version__",
 ]
 

@@ -101,7 +101,7 @@ def cmd_analyze(args, tol) -> int:
 
 def cmd_scale(args, tol) -> int:
     frame = _load_frame(args.frame)
-    res = solve_scaling(frame, strict=args.strict, tol=tol)
+    res = solve_scaling(frame, tol=tol)
     feasible = isinstance(res, ScalingCertificate)
     _, _, oracle_found = gramian_scaling_check(frame, tol)
     if feasible != oracle_found:

@@ -143,7 +143,7 @@ def check_2scale(p: TwoParamBlock, tol: float = DEFAULT_TOL):
         frame = Frame(np.array([[1.0, a, c], [0.0, b, d]]))
     except ZeroVector:
         return False, None
-    res = solve_scaling(frame, strict=True, tol=tol)
+    res = solve_scaling(frame, tol=tol)
     if isinstance(res, ScalingCertificate) and res.strict:
         return True, res.weights
     return False, None

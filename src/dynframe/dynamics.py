@@ -101,8 +101,8 @@ class TransportResult:
     unitary: bool            # scalability status transfers iff this holds
 
 
-def iterate(spec: DynamicalSystemSpec) -> Frame:
-    """The iterated system as a Frame, triples in order and powers ascending."""
+def iterate_columns(spec: DynamicalSystemSpec) -> np.ndarray:
+    """The iterated vectors as columns of one n x k matrix, zero iterates kept."""
     cols = []
     for s, g, l in spec.triples:
         a = spec.operators[s]
@@ -110,7 +110,12 @@ def iterate(spec: DynamicalSystemSpec) -> Frame:
         for _ in range(l + 1):
             cols.append(v)
             v = a @ v
-    return Frame.from_vectors(cols)
+    return np.column_stack(cols)
+
+
+def iterate(spec: DynamicalSystemSpec) -> Frame:
+    """The iterated system as a Frame, triples in order and powers ascending."""
+    return Frame(iterate_columns(spec))
 
 
 def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DualSystem:

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (NumericalFailure, ShapeMismatch, TemplateMismatch, ZeroVector)
+from .errors import NumericalFailure, ShapeMismatch, TemplateMismatch, ZeroVector
 from .frames import Frame
 from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, as_vector, fro,
                         hermitian_eig, nonneg_feasible)
@@ -67,10 +67,6 @@ class DiagonalScalingSystem:
     unknown_index: tuple     # ((s, j), ...) column labels
 
 
-def _pairs(n: int):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def diagram_vector(f, field: Optional[str] = None) -> DiagramVector:
     """Diagram vector of a nonzero vector, in the frame's field convention."""
     f = as_vector(f)
@@ -82,7 +78,7 @@ def diagram_vector(f, field: Optional[str] = None) -> DiagramVector:
     if n == 1:
         return DiagramVector(dim=1, field=field, entries=np.zeros(0))
     scale = 1.0 / np.sqrt(n - 1.0)
-    pairs = _pairs(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if field == "real":
         fr = np.asarray(f, dtype=float)
         diffs = [fr[i] ** 2 - fr[j] ** 2 for i, j in pairs]
@@ -100,74 +96,62 @@ def diagram_vector(f, field: Optional[str] = None) -> DiagramVector:
     return DiagramVector(dim=n, field=field, entries=entries)
 
 
-def _diagram_columns(m, field: str) -> np.ndarray:
+def _quadratic_parts(m):
+    """The entries of m_i m_i* for every column m_i of m, all at once.
+
+    Returns (sq, prod, iu, ju): sq[i] = |m(i)|^2 and prod[r] = m(iu[r])
+    conj(m(ju[r])) over the pairs iu < ju of np.triu_indices, one
+    column per column of m.
+    """
+    iu, ju = np.triu_indices(m.shape[0], 1)
+    return np.abs(m) ** 2, m[iu] * m[ju].conj(), iu, ju
+
+
+def _diagram_columns(m) -> np.ndarray:
     """Diagram vectors of all columns of m at once, one output column each.
 
     Each column holds the entries diagram_vector gives for that column
-    of m in the same field convention.
+    of m, in the field of m's dtype.
     """
     n, k = m.shape
     if n == 1:
         return np.zeros((0, k))
-    iu, ju = np.triu_indices(n, 1)
-    scale = 1.0 / np.sqrt(n - 1.0)
-    if field == "real":
-        fr = np.asarray(m, dtype=float)
-        diffs = fr[iu] ** 2 - fr[ju] ** 2
-        prods = np.sqrt(2.0 * n) * fr[iu] * fr[ju]
-    else:
-        fc = np.asarray(m, dtype=complex)
-        sq = (fc * fc.conj()).real
-        diffs = sq[iu] - sq[ju]
-        p = np.sqrt(float(n)) * fc[iu] * fc[ju].conj()
+    sq, prod, iu, ju = _quadratic_parts(m)
+    if np.iscomplexobj(m):
+        p = np.sqrt(float(n)) * prod
         prods = np.stack([p.real, p.imag], axis=1).reshape(-1, k)
-    return scale * np.vstack([diffs, prods])
+    else:
+        prods = np.sqrt(2.0 * n) * prod
+    return (1.0 / np.sqrt(n - 1.0)) * np.vstack([sq[iu] - sq[ju], prods])
 
 
 def tight_via_diagram(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
     """Tightness test: the diagram vectors of a tight frame sum to zero."""
-    total = _diagram_columns(frame.matrix, frame.field).sum(axis=1)
+    total = _diagram_columns(frame.matrix).sum(axis=1)
     mass = float(np.sum(np.abs(frame.matrix) ** 2))
     return float(np.linalg.norm(total)) <= tol * mass
 
 
-def _scaling_system(frame: Frame):
-    """Rows of sum_i x_i vech(f_i f_i*) = vech(I), split re/im."""
-    f = frame.matrix
-    n, k = f.shape
-    pairs = _pairs(n)
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append(np.abs(f[i, :]) ** 2)
-        rhs.append(1.0)
-    offdiag = [f[i, :] * f[j, :].conjugate() for i, j in pairs]
-    for row in offdiag:
-        rows.append(row.real)
-        rhs.append(0.0)
-    if frame.field == "complex":
-        for row in offdiag:
-            rows.append(row.imag)
-            rhs.append(0.0)
-    return np.array(rows, dtype=float), np.array(rhs)
+def _scaling_system(m):
+    """Rows of sum_i x_i vech(m_i m_i*) = vech(I) over the columns of m.
+
+    One row per index i (|m(i)|^2, rhs 1), then the real parts of
+    m(i) conj(m(j)) for pairs i < j (rhs 0), then, when m is complex,
+    their imaginary parts (rhs 0).
+    """
+    m = np.asarray(m)
+    sq, prod, _, _ = _quadratic_parts(m)
+    aeq = np.vstack([sq, prod.real] + ([prod.imag] if np.iscomplexobj(m) else []))
+    beq = np.zeros(aeq.shape[0])
+    beq[:m.shape[0]] = 1.0
+    return aeq, beq
 
 
-def scaling_residual(frame: Frame, squares) -> float:
-    x = np.asarray(squares, dtype=float)
-    f = frame.matrix
-    s = (f * x) @ f.conj().T
-    return fro(s - np.eye(frame.dim))
-
-
-def _certificate(frame: Frame, feas: Feasible, tol: float) -> ScalingCertificate:
-    x = np.clip(feas.x, 0.0, None)
-    residual = scaling_residual(frame, x)
-    if residual > tol:
-        raise NumericalFailure(
-            f"scaling residual {residual:.3e} exceeds tolerance {tol:.1e}")
-    return ScalingCertificate(weights=np.sqrt(x), squares=x, tight_constant=1.0,
-                              residual=residual, strict=feas.margin > tol,
-                              margin=feas.margin)
+def scaling_residual(frame, squares) -> float:
+    """|| sum_i x_i f_i f_i* - I ||_F over a Frame or an n x k column matrix."""
+    f = frame.matrix if isinstance(frame, Frame) else np.asarray(frame)
+    s = (f * np.asarray(squares, dtype=float)) @ f.conj().T
+    return fro(s - np.eye(f.shape[0]))
 
 
 def _sound_witness(w: InfeasibleWitness, n: int) -> InfeasibleWitness:
@@ -188,20 +172,35 @@ def _sound_witness(w: InfeasibleWitness, n: int) -> InfeasibleWitness:
     return w
 
 
-def solve_scaling(frame: Frame, strict: bool = False, tol: float = DEFAULT_TOL):
+def _solve(aeq, beq, columns, tol: float):
+    """Decide aeq x = beq, x >= 0 for the scaling system of columns.
+
+    Returns a certificate whose residual is recomputed on the n x k
+    matrix columns (zero columns allowed), or a witness that clears
+    _sound_witness; anything else raises NumericalFailure.
+    """
+    res = nonneg_feasible(aeq, beq, tol=tol)
+    if isinstance(res, InfeasibleWitness):
+        return _sound_witness(res, columns.shape[0])
+    x = np.clip(res.x, 0.0, None)
+    residual = scaling_residual(columns, x)
+    if residual > tol:
+        raise NumericalFailure(
+            f"scaling residual {residual:.3e} exceeds tolerance {tol:.1e}")
+    return ScalingCertificate(weights=np.sqrt(x), squares=x, tight_constant=1.0,
+                              residual=residual, strict=res.margin > tol,
+                              margin=res.margin)
+
+
+def solve_scaling(frame: Frame, tol: float = DEFAULT_TOL):
     """Weights w_i >= 0 with sum w_i^2 f_i f_i* = I, or a Farkas witness.
 
-    The solver always maximizes the minimum of x = w^2, so the margin
-    field is meaningful whether or not strict is requested; the strict
+    The solver always maximizes the minimum of x = w^2, and the strict
     flag on the certificate records margin > tol.  A witness is returned
     only when its gap clears the soundness bound of the trace row; any
     other infeasibility report raises NumericalFailure ("undecided").
     """
-    aeq, beq = _scaling_system(frame)
-    res = nonneg_feasible(aeq, beq, tol=tol)
-    if isinstance(res, InfeasibleWitness):
-        return _sound_witness(res, frame.dim)
-    return _certificate(frame, res, tol)
+    return _solve(*_scaling_system(frame.matrix), frame.matrix, tol)
 
 
 def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
@@ -213,7 +212,7 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     null space, whether a nonnegative nonzero null vector exists).
     """
     unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)
-    diag = _diagram_columns(unit, frame.field)
+    diag = _diagram_columns(unit)
     gram = diag.T @ diag
     gram = (gram + gram.T) / 2.0
     k = gram.shape[0]
@@ -229,13 +228,20 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     return gram, null_basis, found
 
 
+def _diagonal_columns(a, generators, unknown_index) -> np.ndarray:
+    """The vectors D^j v_s, D = diag(a), as columns in unknown_index order."""
+    s, j = np.array(unknown_index).T
+    return np.stack(generators, axis=1)[:, s] * np.asarray(a)[:, None] ** j
+
+
 def build_diagonal_system(a, generators, iters) -> DiagonalScalingSystem:
     """Weight equations for the frame {D^j v_s} with D = diag(a).
 
     Diagonal rows demand sum_s |x_s(i)|^2 sum_j w^2_{s,j} |a_i|^{2j} = 1;
     each pair i<j demands sum_s x_s(i) conj(x_s(j)) sum_j w^2_{s,j}
     (a_i conj(a_j))^j = 0, split into real and imaginary parts over a
-    complex field.
+    complex field.  These are the rows _scaling_system gives for the
+    columns D^j v_s.
     """
     a = as_vector(a)
     n = a.shape[0]
@@ -251,31 +257,10 @@ def build_diagonal_system(a, generators, iters) -> DiagonalScalingSystem:
     if any(l < 0 for l in iters):
         raise ValueError("iteration counts must be nonnegative")
 
-    complex_field = np.iscomplexobj(a) or any(np.iscomplexobj(v) for v in gens)
-    unknowns = [(s, j) for s in range(len(gens)) for j in range(iters[s] + 1)]
-    ncols = len(unknowns)
-    pairs = _pairs(n)
-
-    diag_rows = np.zeros((n, ncols))
-    for col, (s, j) in enumerate(unknowns):
-        v = gens[s]
-        for i in range(n):
-            diag_rows[i, col] = abs(v[i]) ** 2 * abs(a[i]) ** (2 * j)
-
-    pair_rows = np.zeros((len(pairs), ncols), dtype=complex)
-    for col, (s, j) in enumerate(unknowns):
-        v = gens[s]
-        for r, (i, l) in enumerate(pairs):
-            pair_rows[r, col] = v[i] * np.conj(v[l]) * (a[i] * np.conj(a[l])) ** j
-
-    blocks = [diag_rows, pair_rows.real]
-    rhs = [np.ones(n), np.zeros(len(pairs))]
-    if complex_field:
-        blocks.append(pair_rows.imag)
-        rhs.append(np.zeros(len(pairs)))
-    return DiagonalScalingSystem(diag=a, generators=gens, iters=iters,
-                                 matrix=np.vstack(blocks), rhs=np.concatenate(rhs),
-                                 unknown_index=tuple(unknowns))
+    unknowns = tuple((s, j) for s in range(len(gens)) for j in range(iters[s] + 1))
+    aeq, beq = _scaling_system(_diagonal_columns(a, gens, unknowns))
+    return DiagonalScalingSystem(diag=a, generators=gens, iters=iters, matrix=aeq,
+                                 rhs=beq, unknown_index=unknowns)
 
 
 def solve_diagonal_system(system: DiagonalScalingSystem, tol: float = DEFAULT_TOL):
@@ -285,14 +270,8 @@ def solve_diagonal_system(system: DiagonalScalingSystem, tol: float = DEFAULT_TO
     order (which matches iterate() on the corresponding spec), or the
     solver's witness.
     """
-    res = nonneg_feasible(system.matrix, system.rhs, tol=tol)
-    if isinstance(res, InfeasibleWitness):
-        return _sound_witness(res, system.diag.shape[0])
-    cols = []
-    for s, j in system.unknown_index:
-        cols.append(system.diag ** j * system.generators[s])
-    frame = Frame(np.column_stack(cols))
-    return _certificate(frame, res, tol)
+    cols = _diagonal_columns(system.diag, system.generators, system.unknown_index)
+    return _solve(system.matrix, system.rhs, cols, tol)
 
 
 def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
@@ -300,10 +279,10 @@ def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
 
     Diagonalizes A = U D U*, assembles the diagonal system on the
     rotated generators U* f_s, and solves.  Weights transfer verbatim
-    to the original iterated frame, where the certificate residual is
+    to the original iterates A^j f_s, where the certificate residual is
     evaluated.
     """
-    from .dynamics import DynamicalSystemSpec, diagonal_reduce, iterate
+    from .dynamics import DynamicalSystemSpec, diagonal_reduce, iterate_columns
 
     gens = tuple(as_vector(f) for f in generators)
     iters = tuple(int(l) for l in iters)
@@ -311,10 +290,7 @@ def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
                                triples=tuple((0, s, l) for s, l in enumerate(iters)))
     _, d, reduced = diagonal_reduce(spec, tol)
     system = build_diagonal_system(np.diag(d), reduced.generators, iters)
-    res = nonneg_feasible(system.matrix, system.rhs, tol=tol)
-    if isinstance(res, InfeasibleWitness):
-        return _sound_witness(res, spec.dim)
-    return _certificate(iterate(spec), res, tol)
+    return _solve(system.matrix, system.rhs, iterate_columns(spec), tol)
 
 
 def real_one_vector_obstruction(a) -> bool:

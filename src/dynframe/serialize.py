@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .dynamics import DynamicalSystemSpec, SampleSet
-from .errors import InputError
+from .errors import DynframeError, InputError
 from .frames import Frame
 from .numkernel import InfeasibleWitness
 from .scalability import ScalingCertificate
@@ -185,30 +185,18 @@ def system_from_json(d) -> DynamicalSystemSpec:
     trips = d["triples"]
     if not isinstance(trips, list) or not trips:
         raise InputError("triples must be a nonempty array")
-    triples = []
     for i, t in enumerate(trips):
         if (not isinstance(t, list) or len(t) != 3
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in t)):
             raise InputError(f"triple {i} must be [opIdx, genIdx, L] integers")
-        s, g, l = t
-        if not (0 <= s < len(ops) and 0 <= g < len(gens)):
-            raise InputError(f"triple {i} references missing operator or generator")
-        if l < 0:
-            raise InputError(f"triple {i} has negative iteration count")
-        triples.append((s, g, l))
-    for i, a in enumerate(ops):
-        if a.shape != (dim, dim):
-            raise InputError(f"operator {i} has shape {a.shape}, expected ({dim},{dim})")
-    for i, g in enumerate(gens):
-        if g.shape[0] != dim:
-            raise InputError(f"generator {i} has length {g.shape[0]}, expected {dim}")
-        if np.linalg.norm(g) == 0.0:
-            raise InputError(f"generator {i} is zero")
     try:
-        return DynamicalSystemSpec(operators=tuple(ops), generators=tuple(gens),
-                                   triples=tuple(triples))
-    except Exception as exc:
+        spec = DynamicalSystemSpec(operators=tuple(ops), generators=tuple(gens),
+                                   triples=tuple(trips))
+    except (DynframeError, ValueError) as exc:
         raise InputError(str(exc)) from exc
+    if spec.dim != dim:
+        raise InputError(f"system has dimension {spec.dim}, but dim is {dim}")
+    return spec
 
 
 def certificate_to_json(res) -> dict:

@@ -265,7 +265,7 @@ def _suite_certificate_soundness(trials, seed, sid, tol):
         k = int(rng.integers(n + 1, 11))
         field = "complex" if t % 2 else "real"
         frame, _ = random_scalable_frame(rng, n, k, field=field)
-        res = solve_scaling(frame, strict=True, tol=tol)
+        res = solve_scaling(frame, tol=tol)
         if not isinstance(res, ScalingCertificate):
             return f"trial {t}: scalable-by-construction frame got no certificate"
         f = frame.matrix
@@ -340,8 +340,8 @@ def _suite_unitary_scaling(trials, seed, sid, tol):
         else:
             frame = random_frame(rng, n, k, field=field)
         u = random_unitary(rng, n, field=field)
-        before = solve_scaling(frame, strict=True, tol=tol)
-        after = solve_scaling(Frame(u @ frame.matrix), strict=True, tol=tol)
+        before = solve_scaling(frame, tol=tol)
+        after = solve_scaling(Frame(u @ frame.matrix), tol=tol)
         if _feasible(before) != _feasible(after):
             return f"trial {t}: feasibility changed under a unitary"
         if _feasible(before) and abs(before.margin - after.margin) > 10 * tol:
@@ -351,7 +351,7 @@ def _suite_unitary_scaling(trials, seed, sid, tol):
 
 
 def _strict(frame, tol):
-    res = solve_scaling(frame, strict=True, tol=tol)
+    res = solve_scaling(frame, tol=tol)
     return isinstance(res, ScalingCertificate) and res.strict
 
 
@@ -402,7 +402,7 @@ def _suite_construction_certificates(trials, seed, sid, tol):
 
         # orthogonal pair: first-column (0, b) case
         b0 = rng.uniform(0.3, 2.0) * (1 if rng.integers(2) else -1)
-        res0 = solve_scaling(Frame(np.array([[1.0, 0.0], [0.0, b0]])), strict=True, tol=tol)
+        res0 = solve_scaling(Frame(np.array([[1.0, 0.0], [0.0, b0]])), tol=tol)
         if not (isinstance(res0, ScalingCertificate) and res0.strict):
             return f"trial {t}: orthogonal pair not strictly scalable"
         if np.max(np.abs(res0.weights - np.array([1.0, 1.0 / abs(b0)]))) > 1e-6:
@@ -499,7 +499,7 @@ def _suite_2scale_boundary(trials, seed, sid, tol):
     for r in targets:
         # with (a, b, d) = (1, 1, 1) the criterion ratio -ac/(bd) equals -c
         frame = Frame(np.array([[1.0, 1.0, -r], [0.0, 1.0, 1.0]]))
-        res = solve_scaling(frame, strict=True, tol=tol)
+        res = solve_scaling(frame, tol=tol)
         strict = isinstance(res, ScalingCertificate) and res.strict
         if strict != (r == 0.5):
             return f"ratio {r}: strict={strict}, expected {r == 0.5}"
@@ -519,7 +519,7 @@ def _suite_one_vector(trials, seed, sid, tol):
         return "n=2 diagonal wrongly reported obstructed"
     spec2 = DynamicalSystemSpec.single(np.diag([1.0, -1.0]),
                                        np.array([0.5, 0.5]), 3)
-    res2 = solve_scaling(iterate(spec2), strict=True, tol=tol)
+    res2 = solve_scaling(iterate(spec2), tol=tol)
     if not (isinstance(res2, ScalingCertificate) and res2.strict):
         return "the 2d one-vector example is not strictly scalable"
     for t in range(trials):
@@ -530,7 +530,7 @@ def _suite_one_vector(trials, seed, sid, tol):
             return f"trial {t}: n={n} diagonal not reported obstructed"
         l = int(rng.integers(n, 2 * n + 2))
         spec = DynamicalSystemSpec.single(np.diag(a), gens[0], l)
-        res = solve_scaling(iterate(spec), strict=True, tol=tol)
+        res = solve_scaling(iterate(spec), tol=tol)
         if isinstance(res, ScalingCertificate) and res.strict:
             return f"trial {t}: strict certificate against the obstruction"
     return None
@@ -568,8 +568,3 @@ def run_suite(name, trials=None, seed=0, tol=DEFAULT_TOL) -> SuiteResult:
             return SuiteResult(name=sname, passed=detail is None,
                                trials=n_trials, detail=detail or "ok")
     raise KeyError(f"unknown suite {name!r}")
-
-
-def run_suites(names=None, trials=None, seed=0, tol=DEFAULT_TOL):
-    names = SUITE_NAMES if names is None else list(names)
-    return [run_suite(n, trials=trials, seed=seed, tol=tol) for n in names]

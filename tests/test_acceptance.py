@@ -124,7 +124,7 @@ def test_criterion_04_two_scale_boundary_sweep():
                 for r in inside + outside:
                     c = -r * b * d / a
                     frame = Frame(np.array([[1.0, a, c], [0.0, b, d]]))
-                    res = solve_scaling(frame, strict=True)
+                    res = solve_scaling(frame)
                     strict = _is_cert(res) and res.strict and res.margin > 1e-9
                     if strict != (r in inside):
                         disagreements += 1
@@ -260,7 +260,7 @@ def test_criterion_09_real_one_vector_obstruction():
         v = rng.standard_normal(3)
         l = int(rng.integers(1, 13))
         spec = DynamicalSystemSpec.single(np.diag(a), v, l)
-        if isinstance(solve_scaling(iterate(spec), strict=True), InfeasibleWitness):
+        if isinstance(solve_scaling(iterate(spec)), InfeasibleWitness):
             witnesses += 1
 
     paper = DynamicalSystemSpec.single(np.diag([1.0, -1.0]),
@@ -277,7 +277,7 @@ def test_criterion_09_real_one_vector_obstruction():
 def test_criterion_10_multigen_example():
     alpha = 2 * np.pi / 3
     spec = cons.multigen_rotation([(0, 0, 1, 1, alpha), (0, 0, 2, 2, alpha)])
-    res = solve_scaling(iterate(spec), strict=True)
+    res = solve_scaling(iterate(spec))
     ok = _is_cert(res) and res.strict and res.residual <= 1e-9
     detail = "no certificate"
     if _is_cert(res):
@@ -312,8 +312,8 @@ def test_criterion_11_transport_invariance():
         u = random_unitary(rng, spec.dim, field=field)
         moved = transport(spec, u)
         assert moved.unitary
-        res_a = solve_scaling(iterate(spec), strict=True)
-        res_b = solve_scaling(iterate(moved.spec), strict=True)
+        res_a = solve_scaling(iterate(spec))
+        res_b = solve_scaling(iterate(moved.spec))
         if _is_cert(res_a) != _is_cert(res_b):
             mismatches += 1
             continue

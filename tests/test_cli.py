@@ -6,6 +6,7 @@ import pytest
 import dynframe.serialize as ser
 from dynframe.cli import main
 from dynframe.dynamics import iterate, take_samples
+from dynframe.errors import InputError
 from dynframe.frames import verify_duality
 from dynframe.scalability import scaling_residual
 from dynframe.verify import SuiteResult
@@ -71,6 +72,50 @@ class TestPipeline:
 
     def test_help_exits_clean(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+def _system_dict():
+    return {"dim": 2, "field": "real",
+            "operators": [ser.matrix_to_json(np.eye(2)),
+                          ser.matrix_to_json(np.diag([1.0, -1.0]))],
+            "generators": [[1.0, 0.0], [0.5, 0.5]],
+            "triples": [[0, 0, 1], [1, 1, 2]]}
+
+
+def _set(path, value):
+    def edit(d):
+        *keys, last = path
+        for key in keys:
+            d = d[key]
+        d[last] = value
+    return edit
+
+
+class TestSystemInput:
+    @pytest.mark.parametrize("edit", [
+        _set(("triples", 0, 0), 5),
+        _set(("triples", 1, 1), 7),
+        _set(("triples", 1, 2), -1),
+        _set(("triples", 0, 2), True),
+        _set(("dim",), 3),
+        _set(("operators", 0), ser.matrix_to_json(np.ones((2, 3)))),
+        _set(("generators", 0), [1.0, 0.0, 0.0]),
+        _set(("generators", 1), [0.0, 0.0]),
+        _set(("operators", 1), ser.matrix_to_json(np.eye(3))),
+    ], ids=["operator-index", "generator-index", "negative-L", "bool-L",
+            "dim-mismatch", "non-square-operator", "generator-length",
+            "zero-generator", "mixed-operator-sizes"])
+    def test_malformed_system_is_input_error(self, edit, tmp_path, capsys):
+        good = _system_dict()
+        assert ser.system_from_json(good).dim == 2
+        bad = _system_dict()
+        edit(bad)
+        with pytest.raises(InputError):
+            ser.system_from_json(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "gen", str(path))
+        assert code == 2 and out == "" and "error" in err
 
 
 class TestScale:

@@ -141,7 +141,7 @@ class TestTwoByTwoCriteria:
                 continue
             p = cons.TwoParamBlock(a, b, c, d)
             frame = Frame(np.array([[1.0, 0.0, a, c], [0.0, 1.0, b, d]]))
-            res = solve_scaling(frame, strict=True)
+            res = solve_scaling(frame)
             strict = isinstance(res, ScalingCertificate) and res.strict
             assert cons.check_2x4(p) == strict
 
@@ -191,7 +191,7 @@ class TestRotationSystems:
         expect = np.array([[1.0, -0.5, -0.5],
                            [0.0, np.sqrt(3) / 2, -np.sqrt(3) / 2]])
         assert np.allclose(f.matrix, expect, atol=1e-12)
-        cert = solve_scaling(f, strict=True)
+        cert = solve_scaling(f)
         assert cert.strict
         assert np.allclose(cert.squares, 2.0 / 3.0, atol=1e-9)
 
@@ -217,7 +217,7 @@ class TestRotationSystems:
                            [1.0, np.cos(w), np.cos(2 * w), 0.0, 0.0],
                            [0.0, np.sin(w), np.sin(2 * w), 0.0, 0.0]])
         assert np.allclose(f.matrix, expect, atol=1e-12)
-        cert = solve_scaling(f, strict=True)
+        cert = solve_scaling(f)
         assert isinstance(cert, ScalingCertificate) and cert.strict
 
     def test_schur_signs_validation(self):
@@ -272,7 +272,7 @@ class TestMultigenRotation:
 
     def test_strict_scaling_solution(self):
         f = iterate(cons.multigen_rotation(self.planes()))
-        cert = solve_scaling(f, strict=True)
+        cert = solve_scaling(f)
         assert cert.strict
         assert np.allclose(cert.squares, [1 / 3, 2 / 3, 2 / 3, 2 / 3, 2 / 3],
                            atol=1e-9)
@@ -308,7 +308,7 @@ class TestStructuredR3:
                            [0.0, 1.0, 1.0, -1.0],
                            [0.0, 0.0, 1.0, 2.0]])
         assert np.allclose(f.matrix, expect)
-        cert = solve_scaling(f, strict=True)
+        cert = solve_scaling(f)
         assert cert.strict
         assert np.allclose(cert.squares, [1.0, 0.5, 1 / 3, 1 / 6], atol=1e-9)
 
@@ -323,7 +323,7 @@ class TestStructuredR3:
                            [0.0, 1.0, 0.0, -2.0, -2.0],
                            [0.0, 0.0, 1.0, 1.0, -1.0]])
         assert np.allclose(f.matrix, expect)
-        cert = solve_scaling(f, strict=True)
+        cert = solve_scaling(f)
         assert cert.strict
         # one-parameter family: x3 = x4 = t, x1 = 1 - 8t, x2 = 1 - 2t,
         # max-min optimum at t = 1/9
@@ -341,7 +341,7 @@ class TestStructuredR3:
         spec = cons.r3_structured(-2.0, 1.0, n=4)
         f = iterate(spec)
         assert f.matrix.shape == (4, 6)
-        cert = solve_scaling(f, strict=True)
+        cert = solve_scaling(f)
         assert isinstance(cert, ScalingCertificate) and cert.strict
 
     @settings(max_examples=20, deadline=None)
@@ -349,5 +349,5 @@ class TestStructuredR3:
     def test_companion_family_always_strict(self, a, b):
         if not a + b * b < 0:
             return
-        cert = solve_scaling(iterate(cons.r3_structured(a, b)), strict=True)
+        cert = solve_scaling(iterate(cons.r3_structured(a, b)))
         assert isinstance(cert, ScalingCertificate) and cert.strict

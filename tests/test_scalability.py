@@ -66,10 +66,47 @@ class TestDiagramVector:
                 m = rng.standard_normal((n, 6))
                 if field == "complex":
                     m = m + 1j * rng.standard_normal((n, 6))
-                got = _diagram_columns(m, field)
+                got = _diagram_columns(m)
                 ref = [diagram_vector(m[:, i], field=field).entries for i in range(6)]
                 assert got.shape == (len(ref[0]), 6)
                 assert np.allclose(got, np.column_stack(ref), rtol=0.0, atol=1e-14)
+
+
+class TestScalingKernel:
+    @staticmethod
+    def _vech(s):
+        iu, ju = np.triu_indices(s.shape[0], 1)
+        parts = [np.diag(s).real, s[iu, ju].real]
+        if np.iscomplexobj(s):
+            parts.append(s[iu, ju].imag)
+        return np.concatenate(parts)
+
+    def test_rows_are_vech_of_the_weighted_sum(self, rng):
+        for n in range(1, 9):
+            for complex_field in (False, True):
+                m = rng.standard_normal((n, 7))
+                if complex_field:
+                    m = m + 1j * rng.standard_normal((n, 7))
+                x = rng.random(7)
+                rows, rhs = _scaling_system(m)
+                total = sum(x[i] * np.outer(m[:, i], m[:, i].conj()) for i in range(7))
+                assert np.allclose(rows @ x, self._vech(total), rtol=0.0, atol=1e-13)
+                assert np.array_equal(rhs, self._vech(np.eye(n, dtype=m.dtype)))
+
+    def test_diagonal_system_is_the_kernel_of_its_iterates(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(1, 6))
+            field = "complex" if rng.random() < 0.5 else "real"
+            a, gens, iters = random_diagonal_data(rng, n, field=field,
+                                                  n_gens=int(rng.integers(1, 4)))
+            spec = DynamicalSystemSpec(
+                operators=(np.diag(a),), generators=tuple(gens),
+                triples=tuple((0, g, l) for g, l in enumerate(iters)))
+            rows, rhs = _scaling_system(iterate(spec).matrix)
+            system = build_diagonal_system(a, gens, iters)
+            assert system.matrix.shape == rows.shape
+            assert np.allclose(system.matrix, rows, rtol=1e-13, atol=1e-13)
+            assert np.array_equal(system.rhs, rhs)
 
 
 class TestTightViaDiagram:
@@ -94,7 +131,7 @@ class TestTightViaDiagram:
 class TestSolveScaling:
     def test_basis_plus_repeat(self):
         fr = cols([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0])
-        cert = solve_scaling(fr, strict=True)
+        cert = solve_scaling(fr)
         assert isinstance(cert, ScalingCertificate)
         assert np.allclose(cert.weights, [2 ** -0.5, 1.0, 1.0, 2 ** -0.5], atol=1e-9)
         assert cert.strict and cert.margin == pytest.approx(0.5, abs=1e-9)
@@ -103,7 +140,7 @@ class TestSolveScaling:
     def test_plus_minus_pair_family(self):
         # weights obey w2^2 = w3^2 = t and w0^2 = w1^2 = 1 - 2t
         fr = cols([1, 0], [0, 1], [1, -1], [1, 1])
-        cert = solve_scaling(fr, strict=True)
+        cert = solve_scaling(fr)
         t = cert.squares[2]
         assert cert.squares[3] == pytest.approx(t, abs=1e-9)
         assert cert.squares[0] == pytest.approx(1 - 2 * t, abs=1e-9)
@@ -115,7 +152,7 @@ class TestSolveScaling:
         # an orthonormal basis plus one diagonal vector scales only by
         # dropping the extra vector, so the margin collapses to zero
         fr = cols([1, 0], [0, 1], [2 ** -0.5, 2 ** -0.5])
-        cert = solve_scaling(fr, strict=True)
+        cert = solve_scaling(fr)
         assert isinstance(cert, ScalingCertificate)
         assert not cert.strict
         assert abs(cert.margin) <= 1e-9
@@ -180,7 +217,7 @@ class TestWitnessSoundness:
         frame = self._obstructed_frame()
         res = solve_scaling(frame)
         assert isinstance(res, InfeasibleWitness)
-        aeq, beq = _scaling_system(frame)
+        aeq, beq = _scaling_system(frame.matrix)
         assert np.array_equal(res.system_matrix, aeq)
         norms = np.sum(np.abs(frame.matrix) ** 2, axis=0)
         bound = 3 * np.max(np.clip(res.y @ aeq, 0.0, None) / norms)
@@ -192,13 +229,24 @@ class TestWitnessSoundness:
         res = normal_scalability(np.diag([0.0, 1.0, 2.0]), [np.array([1.0, 0.0, 0.0])], [2])
         assert isinstance(res, InfeasibleWitness)
 
+    def test_zero_iterate_allowed_in_a_certificate(self):
+        # A e1 = 0: the orbit e1, 0, e2 is scaled by unit weights, and the
+        # zero iterate must not stop either diagonal route from saying so
+        a, gens, iters = [0.0, 1.0], [np.array([1.0, 0.0]), np.array([0.0, 1.0])], [1, 0]
+        for res in (solve_diagonal_system(build_diagonal_system(a, gens, iters)),
+                    normal_scalability(np.diag(a), gens, iters)):
+            assert isinstance(res, ScalingCertificate)
+            assert res.residual <= DEFAULT_TOL
+            assert scaling_residual(np.column_stack([gens[0], [0.0, 0.0], gens[1]]),
+                                    res.squares) <= DEFAULT_TOL
+
     def test_pushed_witness_is_undecided(self, monkeypatch):
         # push y along a direction d with d'b = 0 and d'a_i > 0 for the
         # column i of largest norm: the gap stays, (y'A)_i grows, and the
         # witness stops being a proof once n (y'A)_i / |f_i|^2 passes it
         frame = self._obstructed_frame()
         w = solve_scaling(frame)
-        aeq, beq = _scaling_system(frame)
+        aeq, beq = _scaling_system(frame.matrix)
         norms = np.sum(np.abs(frame.matrix) ** 2, axis=0)
         i = int(np.argmax(norms))
         d = aeq[:, i] - (aeq[:, i] @ beq) / (beq @ beq) * beq
@@ -322,7 +370,7 @@ class TestOneVectorObstruction:
             assert real_one_vector_obstruction(a)
             spec = DynamicalSystemSpec.single(np.diag(a), gen,
                                               int(rng.integers(n, 2 * n + 2)))
-            res = solve_scaling(iterate(spec), strict=True)
+            res = solve_scaling(iterate(spec))
             assert not (isinstance(res, ScalingCertificate) and res.strict)
 
 
@@ -355,8 +403,8 @@ def test_scaling_invariant_under_unitary_transport(n, extra, seed):
     fr = random_frame(rng, n, n + extra)
     u = random_unitary(rng, n)
     moved = Frame(u @ fr.matrix)
-    res_a = solve_scaling(fr, strict=True)
-    res_b = solve_scaling(moved, strict=True)
+    res_a = solve_scaling(fr)
+    res_b = solve_scaling(moved)
     assert isinstance(res_a, ScalingCertificate) == isinstance(res_b, ScalingCertificate)
     if isinstance(res_a, ScalingCertificate):
         assert res_a.margin == pytest.approx(res_b.margin, abs=1e-8)
