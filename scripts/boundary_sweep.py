@@ -38,7 +38,8 @@ def main(argv=None):
     ap.add_argument("--csv", default=None, help="also write rows here")
     args = ap.parse_args(argv)
 
-    ratios = np.arange(args.lo, args.hi + args.step / 2, args.step)
+    # rounded so that grid points such as 1.0 are exact and not 0.9999999999999998
+    ratios = np.round(np.arange(args.lo, args.hi + args.step / 2, args.step), 12)
     params = [(a, b, d)
               for a in (0.5, 1.0, 2.0)
               for b in (-1.0, 1.0, 1.5)

@@ -256,132 +256,96 @@ def cmd_verify(args, tol) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FALSE
 
 
-def _add_tol(p):
-    p.add_argument("--tol", type=float, default=None,
-                   help="numerical tolerance (default: DYNFRAME_TOL or 1e-9)")
-
-
-def _add_out(p):
-    p.add_argument("--out", default=None, help="write JSON here instead of stdout")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dynframe",
         description="Iterated-system frames: analysis, scaling certificates, presets.")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--tol", type=float, default=None,
+                        help="numerical tolerance (default: DYNFRAME_TOL or 1e-9)")
+    common.add_argument("--out", default=None, help="write JSON here instead of stdout")
+
+    def command(subparsers, name, help_text):
+        return subparsers.add_parser(name, parents=[common], help=help_text)
+
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="iterate a system file into a frame file")
+    p = command(sub, "gen", "iterate a system file into a frame file")
     p.add_argument("system", help="JsonSystem file")
-    _add_tol(p)
-    _add_out(p)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("analyze", help="frame bounds, tightness, diagram verdict")
+    p = command(sub, "analyze", "frame bounds, tightness, diagram verdict")
     p.add_argument("frame", help="JsonMatrix file, columns are the vectors")
-    _add_tol(p)
-    _add_out(p)
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("scale", help="scaling certificate or infeasibility witness")
+    p = command(sub, "scale", "scaling certificate or infeasibility witness")
     p.add_argument("frame", help="JsonMatrix file, columns are the vectors")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 unless all weights are positive")
-    _add_tol(p)
-    _add_out(p)
     p.set_defaults(func=cmd_scale)
 
-    p = sub.add_parser("dual", help="canonical dual system (B_s, g_s)")
+    p = command(sub, "dual", "canonical dual system (B_s, g_s)")
     p.add_argument("system", help="JsonSystem file")
-    _add_tol(p)
-    _add_out(p)
     p.set_defaults(func=cmd_dual)
 
-    p = sub.add_parser("reconstruct", help="recover a vector from its samples")
+    p = command(sub, "reconstruct", "recover a vector from its samples")
     p.add_argument("system", help="JsonSystem file")
     p.add_argument("samples", nargs="?", default=None, help="samples JSON file")
     p.add_argument("--simulate", default=None, metavar="F",
                    help="single-column JsonMatrix; sample it, recover, report the error")
     p.add_argument("--weights", default=None, metavar="CERT",
                    help="scaling certificate file; use the weighted self-dual route")
-    _add_tol(p)
-    _add_out(p)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("construct", help="emit a preset system file")
+    p.set_defaults(func=cmd_construct)
     preset = p.add_subparsers(dest="preset", required=True)
 
-    q = preset.add_parser("companion", help="companion operator iterated on e1")
+    q = command(preset, "companion", "companion operator iterated on e1")
     q.add_argument("--coeffs", required=True, help="last column, comma-separated")
     q.add_argument("--iters", type=int, default=None,
                    help="iteration count L (default: n+1)")
-    _add_tol(q)
-    _add_out(q)
-    q.set_defaults(func=cmd_construct)
 
-    q = preset.add_parser("block", help="block-diagonal rotations, one generator per block")
+    q = command(preset, "block", "block-diagonal rotations, one generator per block")
     q.add_argument("--omegas", required=True, help="angles, comma-separated radians")
-    _add_tol(q)
-    _add_out(q)
-    q.set_defaults(func=cmd_construct)
 
-    q = preset.add_parser("rotation", help="shift with a rotation block, generator e1")
+    q = command(preset, "rotation", "shift with a rotation block, generator e1")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--omega", type=float, required=True, help="angle in radians")
-    _add_tol(q)
-    _add_out(q)
-    q.set_defaults(func=cmd_construct)
 
-    q = preset.add_parser("schur", help="signs plus a rotation block, basis generators")
+    q = command(preset, "schur", "signs plus a rotation block, basis generators")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--omega", type=float, required=True, help="angle in radians")
     q.add_argument("--signs", default=None, help="n-2 entries of +-1, comma-separated")
-    _add_tol(q)
-    _add_out(q)
-    q.set_defaults(func=cmd_construct)
 
-    q = preset.add_parser("harmonic", help="roots-of-unity diagonal, constant generator")
+    q = command(preset, "harmonic", "roots-of-unity diagonal, constant generator")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--k", type=int, required=True, help="number of vectors (k >= n)")
-    _add_tol(q)
-    _add_out(q)
-    q.set_defaults(func=cmd_construct)
 
-    q = preset.add_parser("multigen", help="plane rotations sharing the generator e1")
+    q = command(preset, "multigen", "plane rotations sharing the generator e1")
     q.add_argument("--plane", action="append", required=True, metavar="P,Q,K,L,ALPHA",
                    help="plane indices and angle; repeatable")
     q.add_argument("--n", type=int, default=None, help="ambient dimension (default: inferred)")
-    _add_tol(q)
-    _add_out(q)
-    q.set_defaults(func=cmd_construct)
 
-    q = preset.add_parser("r3", help="structured strictly scalable families")
+    q = command(preset, "r3", "structured strictly scalable families")
     q.add_argument("--a", type=float, required=True)
     q.add_argument("--b", type=float, required=True)
     q.add_argument("--c", type=float, default=None)
     q.add_argument("--d", type=float, default=None)
     q.add_argument("--n", type=int, default=3, help="dimension for the two-parameter family")
-    _add_tol(q)
-    _add_out(q)
-    q.set_defaults(func=cmd_construct)
 
-    q = preset.add_parser("twoparam", help="trace-parameterized tight three-vector system")
+    q = command(preset, "twoparam", "trace-parameterized tight three-vector system")
     q.add_argument("--a", type=float, required=True)
     q.add_argument("--d", type=float, required=True)
     q.add_argument("--sign", choices=["+", "-"], default="+",
                    help="branch of the closed forms")
-    _add_tol(q)
-    _add_out(q)
-    q.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", help="run property suites")
+    p = command(sub, "verify", "run property suites")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable; default: all)")
     p.add_argument("--trials", type=int, default=None, help="trials per suite")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="JSON results instead of a table")
-    _add_tol(p)
-    _add_out(p)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .dynamics import DynamicalSystemSpec
 from .errors import (AllZeroCoefficients, CriterionFailed, DegenerateTrace,
@@ -94,7 +93,11 @@ def companion(spec) -> np.ndarray:
 def block_diag(spec: BlockDiagSpec) -> np.ndarray:
     if not isinstance(spec, BlockDiagSpec):
         spec = BlockDiagSpec(tuple(spec))
-    return scipy.linalg.block_diag(*spec.blocks)
+    n = sum(spec.dims)
+    out = np.zeros((n, n), dtype=np.result_type(*spec.blocks))
+    for blk, off, d in zip(spec.blocks, spec.offsets, spec.dims):
+        out[off:off + d, off:off + d] = blk
+    return out
 
 
 def embed(spec: BlockDiagSpec, v, s: int) -> np.ndarray:

@@ -8,7 +8,6 @@ dense matrices; no state, no caching.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotHermitian, NotNormal, NumericalFailure
 
@@ -114,6 +113,7 @@ def unitary_diagonalize(a, tol: float = DEFAULT_TOL):
         lam, u = hermitian_eig(a, tol)
         return u, np.diag(lam).astype(u.dtype)
 
+    import scipy.linalg  # here, so that importing dynframe does not load scipy
     try:
         t, u = scipy.linalg.schur(a.astype(complex), output="complex")
     except Exception as exc:  # LAPACK failures surface as various types
@@ -155,8 +155,6 @@ class InfeasibleWitness:
     y: np.ndarray
     gap: float            # y' beq
     max_violation: float  # max entry of y' Aeq
-    system_matrix: np.ndarray
-    system_rhs: np.ndarray
 
 
 def linprog(c, **kwargs):
@@ -230,7 +228,6 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
         viol = float(np.max(aeq.T @ y))
         if gap <= tol or viol > tol:
             raise NumericalFailure("infeasibility reported but no valid Farkas witness found")
-        return InfeasibleWitness(y=y, gap=gap, max_violation=viol,
-                                 system_matrix=aeq, system_rhs=beq)
+        return InfeasibleWitness(y=y, gap=gap, max_violation=viol)
 
     raise NumericalFailure(f"linear program ended with status {res.status}")

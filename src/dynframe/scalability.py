@@ -154,17 +154,17 @@ def scaling_residual(frame, squares) -> float:
     return fro(s - np.eye(f.shape[0]))
 
 
-def _sound_witness(w: InfeasibleWitness, n: int) -> InfeasibleWitness:
-    """Return w if it proves infeasibility, else raise NumericalFailure.
+def _sound_witness(w: InfeasibleWitness, aeq, n: int) -> InfeasibleWitness:
+    """Return w if it proves infeasibility of aeq, else raise NumericalFailure.
 
-    The first n rows of the system are the diagonal ones, with rhs 1;
+    The first n rows of aeq are the diagonal ones, with rhs 1;
     their sum reads sum_i c_i x_i = n, where c_i = |f_i|^2.  Any feasible
     x >= 0 then gives y'b = (y'A) x <= n max_i max((y'A)_i, 0) / c_i, so a
     gap above that bound leaves no feasible x.  A zero column has
     (y'A)_i = 0 and adds nothing.
     """
-    c = w.system_matrix[:n].sum(axis=0)
-    ya = np.clip(w.y @ w.system_matrix, 0.0, None)
+    c = aeq[:n].sum(axis=0)
+    ya = np.clip(w.y @ aeq, 0.0, None)
     bound = n * float(np.max(np.divide(ya, c, out=np.zeros_like(ya), where=c > 0)))
     if not w.gap > bound:
         raise NumericalFailure(f"undecided: witness gap {w.gap:.3e} does not clear "
@@ -181,7 +181,7 @@ def _solve(aeq, beq, columns, tol: float):
     """
     res = nonneg_feasible(aeq, beq, tol=tol)
     if isinstance(res, InfeasibleWitness):
-        return _sound_witness(res, columns.shape[0])
+        return _sound_witness(res, aeq, columns.shape[0])
     x = np.clip(res.x, 0.0, None)
     residual = scaling_residual(columns, x)
     if residual > tol:

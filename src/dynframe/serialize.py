@@ -111,7 +111,7 @@ def matrix_from_json(d) -> np.ndarray:
     if field not in ("real", "complex"):
         raise InputError(f"unknown field tag {field!r}")
     rows, cols = d["rows"], d["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not all(isinstance(x, int) and not isinstance(x, bool) and x > 0 for x in (rows, cols)):
         raise InputError("rows and cols must be positive integers")
     data = d["data"]
     if not isinstance(data, list) or len(data) != rows:
@@ -170,7 +170,7 @@ def system_from_json(d) -> DynamicalSystemSpec:
         if key not in d:
             raise InputError(f"system object missing key {key!r}")
     dim = d["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InputError("dim must be a positive integer")
     field = d.get("field", "real")
     if field not in ("real", "complex"):
@@ -224,8 +224,7 @@ def certificate_from_json(d):
         gap = d.get("witness_check")
         if not isinstance(gap, (int, float)):
             raise InputError("witness_check must be a number")
-        return InfeasibleWitness(y=y, gap=float(gap), max_violation=0.0,
-                                 system_matrix=np.zeros((0, 0)), system_rhs=np.zeros(0))
+        return InfeasibleWitness(y=y, gap=float(gap), max_violation=0.0)
     for key in ("weights", "tight_constant", "residual", "strict", "margin"):
         if key not in d:
             raise InputError(f"certificate missing key {key!r}")

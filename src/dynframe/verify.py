@@ -1,9 +1,11 @@
 """Randomized and sweep-based verification suites.
 
 Each suite checks one family of invariants and reports pass/fail with a
-detail string for the first failure.  Per-trial RNGs are derived from
-(seed, suite index, trial index), so a suite's verdict is independent
-of execution order or parallelism.
+detail string for the first failure.  A suite is one per-trial check,
+check(rng, t, tol), which returns None or that detail; run_suite is the
+only trial loop.  Per-trial RNGs are derived from (seed, suite index,
+trial index), so a suite's verdict is independent of execution order or
+parallelism.
 """
 
 from dataclasses import dataclass
@@ -13,6 +15,7 @@ import numpy as np
 from . import constructions as cons
 from .dynamics import (DynamicalSystemSpec, dynamical_dual, iterate, take_samples,
                        transport, reconstruct)
+from .errors import DynframeError
 from .frames import Frame, analyze, canonical_dual, frame_operator, fusion_check
 from .instances import (random_diagonal_data, random_frame, random_invertible,
                         random_matrix, random_normal_matrix,
@@ -21,7 +24,7 @@ from .instances import (random_diagonal_data, random_frame, random_invertible,
 from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, fro,
                         hermitian_eig, nonneg_feasible, svd_rank,
                         unitary_diagonalize)
-from .scalability import (ScalingCertificate, build_diagonal_system,
+from .scalability import (ScalingCertificate, _scaling_system, build_diagonal_system,
                           gramian_scaling_check, real_one_vector_obstruction,
                           solve_scaling, tight_via_diagram)
 
@@ -36,318 +39,271 @@ class SuiteResult:
     detail: str
 
 
-def _rng(seed, suite_id, trial):
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(suite_id, trial)))
-
-
 def _feasible(res):
     return isinstance(res, (Feasible, ScalingCertificate))
 
 
-def _suite_eig_roundtrip(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 7))
-        field = "complex" if t % 2 else "real"
-        h = random_matrix(rng, n, field=field)
-        h = (h + h.conj().T) / 2.0
-        lam, v = hermitian_eig(h, tol)
-        if np.any(np.diff(lam) > 1e-12):
-            return f"trial {t}: eigenvalues not descending"
-        if fro(v @ v.conj().T - eye(n)) > 10 * tol:
-            return f"trial {t}: eigenvector matrix not unitary"
-        if fro(v @ np.diag(lam) @ v.conj().T - h) > 10 * tol * max(1.0, fro(h)):
-            return f"trial {t}: eigh reconstruction residual"
+def _check_eig_roundtrip(rng, t, tol):
+    n = int(rng.integers(2, 7))
+    field = "complex" if t % 2 else "real"
+    h = random_matrix(rng, n, field=field)
+    h = (h + h.conj().T) / 2.0
+    lam, v = hermitian_eig(h, tol)
+    if np.any(np.diff(lam) > 1e-12):
+        return f"trial {t}: eigenvalues not descending"
+    if fro(v @ v.conj().T - eye(n)) > 10 * tol:
+        return f"trial {t}: eigenvector matrix not unitary"
+    if fro(v @ np.diag(lam) @ v.conj().T - h) > 10 * tol * max(1.0, fro(h)):
+        return f"trial {t}: eigh reconstruction residual"
 
-        a = random_normal_matrix(rng, n, field=field)
-        u, d = unitary_diagonalize(a, tol)
-        if fro(u @ u.conj().T - eye(n)) > 10 * tol:
-            return f"trial {t}: diagonalizer not unitary"
-        if fro(np.diag(np.diag(d)) - d) > 10 * tol * max(1.0, fro(d)):
-            return f"trial {t}: D not diagonal"
-        if fro(u @ d @ u.conj().T - a) > 100 * tol * max(1.0, fro(a)):
-            return f"trial {t}: diagonalization residual"
+    a = random_normal_matrix(rng, n, field=field)
+    u, d = unitary_diagonalize(a, tol)
+    if fro(u @ u.conj().T - eye(n)) > 10 * tol:
+        return f"trial {t}: diagonalizer not unitary"
+    if fro(np.diag(np.diag(d)) - d) > 10 * tol * max(1.0, fro(d)):
+        return f"trial {t}: D not diagonal"
+    if fro(u @ d @ u.conj().T - a) > 100 * tol * max(1.0, fro(a)):
+        return f"trial {t}: diagonalization residual"
 
-        r = int(rng.integers(1, n + 1))
-        m = random_matrix(rng, n, r, field=field) @ random_matrix(rng, r, n + 1, field=field)
-        _, rank, basis = svd_rank(m, 1e-8)
-        if rank != np.linalg.matrix_rank(m, tol=1e-8):
-            return f"trial {t}: rank mismatch"
-        if fro(basis.conj().T @ basis - eye(rank)) > 10 * tol:
-            return f"trial {t}: column basis not orthonormal"
-    return None
+    r = int(rng.integers(1, n + 1))
+    m = random_matrix(rng, n, r, field=field) @ random_matrix(rng, r, n + 1, field=field)
+    _, rank, basis = svd_rank(m, 1e-8)
+    if rank != np.linalg.matrix_rank(m, tol=1e-8):
+        return f"trial {t}: rank mismatch"
+    if fro(basis.conj().T @ basis - eye(rank)) > 10 * tol:
+        return f"trial {t}: column basis not orthonormal"
 
 
-def _suite_feasibility(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        nrows = int(rng.integers(1, 6))
-        ncols = int(rng.integers(nrows, nrows + 6))
-        aeq = random_matrix(rng, nrows, ncols)
-        x0 = rng.uniform(0.1, 2.0, size=ncols)
-        res = nonneg_feasible(aeq, aeq @ x0, tol=tol)
-        if not isinstance(res, Feasible):
-            return f"trial {t}: feasible-by-construction system reported infeasible"
-        if np.linalg.norm(aeq @ res.x - aeq @ x0, np.inf) > 1e-7:
-            return f"trial {t}: solution violates equalities"
-        if res.x.min() < -tol or res.margin < np.min(x0) - 1e-7:
-            return f"trial {t}: margin below the constructed solution's floor"
+def _check_feasibility(rng, t, tol):
+    nrows = int(rng.integers(1, 6))
+    ncols = int(rng.integers(nrows, nrows + 6))
+    aeq = random_matrix(rng, nrows, ncols)
+    x0 = rng.uniform(0.1, 2.0, size=ncols)
+    res = nonneg_feasible(aeq, aeq @ x0, tol=tol)
+    if not isinstance(res, Feasible):
+        return f"trial {t}: feasible-by-construction system reported infeasible"
+    if np.linalg.norm(aeq @ res.x - aeq @ x0, np.inf) > 1e-7:
+        return f"trial {t}: solution violates equalities"
+    if res.x.min() < -tol or res.margin < np.min(x0) - 1e-7:
+        return f"trial {t}: margin below the constructed solution's floor"
 
-        # infeasible by Farkas construction: rows orthogonal to a chosen
-        # direction y0 except rhs, so y0 certifies infeasibility
-        y0 = random_vector(rng, nrows)
-        y0 = y0 / np.linalg.norm(y0)
-        proj = aeq - np.outer(y0, np.clip(y0 @ aeq, 0.0, None))
-        beq = random_vector(rng, nrows) * 0.3 + y0
-        beq = beq - y0 * min(0.0, (y0 @ beq) - 1.0)
-        res2 = nonneg_feasible(proj, beq, tol=tol)
-        if isinstance(res2, InfeasibleWitness):
-            if res2.gap <= tol or res2.max_violation > tol:
-                return f"trial {t}: witness fails Farkas inequalities"
-        else:
-            if np.linalg.norm(proj @ res2.x - beq, np.inf) > 1e-7:
-                return f"trial {t}: claimed solution violates equalities"
-    return None
+    # infeasible by Farkas construction: rows orthogonal to a chosen
+    # direction y0 except rhs, so y0 certifies infeasibility
+    y0 = random_vector(rng, nrows)
+    y0 = y0 / np.linalg.norm(y0)
+    proj = aeq - np.outer(y0, np.clip(y0 @ aeq, 0.0, None))
+    beq = random_vector(rng, nrows) * 0.3 + y0
+    beq = beq - y0 * min(0.0, (y0 @ beq) - 1.0)
+    res2 = nonneg_feasible(proj, beq, tol=tol)
+    if isinstance(res2, InfeasibleWitness):
+        if res2.gap <= tol or res2.max_violation > tol:
+            return f"trial {t}: witness fails Farkas inequalities"
+    else:
+        if np.linalg.norm(proj @ res2.x - beq, np.inf) > 1e-7:
+            return f"trial {t}: claimed solution violates equalities"
 
 
-def _suite_frame_inequality(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(n, 13))
-        field = "complex" if t % 2 else "real"
-        frame = random_frame(rng, n, k, field=field)
-        rep = analyze(frame, tol)
-        for _ in range(100):
-            f = random_vector(rng, n, field)
-            total = float(np.sum(np.abs(frame.matrix.conj().T @ f) ** 2))
-            lo = rep.lower_bound * np.linalg.norm(f) ** 2
-            hi = rep.upper_bound * np.linalg.norm(f) ** 2
-            slack = 10 * tol * max(1.0, hi)
-            if total < lo - slack or total > hi + slack:
-                return f"trial {t}: frame inequality violated"
-    return None
-
-
-def _suite_dual_involution(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 7))
-        k = int(rng.integers(n, 13))
-        field = "complex" if t % 2 else "real"
-        frame = random_frame(rng, n, k, field=field)
-        back = canonical_dual(canonical_dual(frame, tol), tol)
-        if not back.close_to(frame, 10 * tol):
-            return f"trial {t}: double dual differs from the frame"
-        s_dual = frame_operator(canonical_dual(frame, tol))
-        if fro(s_dual - np.linalg.inv(frame_operator(frame))) > 1e-6:
-            return f"trial {t}: dual frame operator is not S^-1"
-    return None
-
-
-def _suite_fusion_union(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 7))
-        u = random_unitary(rng, n)
-        cols = list(range(n))
-        rng.shuffle(cols)
-        n_sub = int(rng.integers(1, 4))
-        covering = t % 2 == 0
-        subs = []
-        used = []
-        for i in range(n_sub):
-            size = int(rng.integers(1, n + 1))
-            pick = [cols[j % n] for j in range(i, i + size)]
-            used.extend(pick)
-            subs.append(Frame(u[:, sorted(set(pick))]))
-        if covering:
-            missing = sorted(set(range(n)) - set(used))
-            if missing:
-                subs.append(Frame(u[:, missing]))
-        dec = fusion_check(subs, tol)
-        if dec.lower_bound > tol:
-            union = Frame(np.hstack([s.matrix for s in subs]))
-            if not analyze(union, tol).is_frame:
-                return f"trial {t}: fusion frame whose union fails the frame test"
-    return None
-
-
-def _suite_transport_naturality(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 5))
-        field = "complex" if t % 3 == 2 else "real"
-        spec = random_spec(rng, n, field=field, frame_only=False)
-        b = random_invertible(rng, n, field=field)
-        moved = transport(spec, b, tol).spec
-        lhs = iterate(moved).matrix
-        rhs = b @ iterate(spec).matrix
-        if fro(lhs - rhs) > 10 * tol * max(1.0, fro(rhs)):
-            return f"trial {t}: transported iterates differ from B times iterates"
-    return None
-
-
-def _suite_dual_conjugation(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 5))
-        field = "complex" if t % 2 else "real"
-        spec = random_spec(rng, n, field=field, max_ops=2)
-        dual = dynamical_dual(spec, tol)
-        lhs = iterate(dual.as_spec()).matrix
-        rhs = np.linalg.solve(dual.frame_op, iterate(spec).matrix)
-        if fro(lhs - rhs) > 1e-6 * max(1.0, fro(rhs)):
-            return f"trial {t}: dual iterates differ from S^-1 times iterates"
-    return None
-
-
-def _suite_dual_identity(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 5))
-        field = "complex" if t % 2 else "real"
-        spec = random_spec(rng, n, field=field, max_ops=2)
+def _check_frame_inequality(rng, t, tol):
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(n, 13))
+    field = "complex" if t % 2 else "real"
+    frame = random_frame(rng, n, k, field=field)
+    rep = analyze(frame, tol)
+    for _ in range(100):
         f = random_vector(rng, n, field)
-        rec = reconstruct(spec, take_samples(spec, f), tol=tol)
-        if np.linalg.norm(rec - f) > 1e-6 * max(1.0, np.linalg.norm(f)):
-            return f"trial {t}: reconstruction identity fails"
-    return None
+        total = float(np.sum(np.abs(frame.matrix.conj().T @ f) ** 2))
+        lo = rep.lower_bound * np.linalg.norm(f) ** 2
+        hi = rep.upper_bound * np.linalg.norm(f) ** 2
+        slack = 10 * tol * max(1.0, hi)
+        if total < lo - slack or total > hi + slack:
+            return f"trial {t}: frame inequality violated"
 
 
-def _suite_transport_report(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 5))
-        spec = random_spec(rng, n)
-        base = analyze(iterate(spec), tol)
-
-        u = random_unitary(rng, n)
-        res = transport(spec, u, tol)
-        if not res.unitary:
-            return f"trial {t}: unitary map not recognized"
-        rep = analyze(iterate(res.spec), tol)
-        if (abs(rep.lower_bound - base.lower_bound) > 10 * tol * max(1.0, base.lower_bound)
-                or abs(rep.upper_bound - base.upper_bound) > 10 * tol * max(1.0, base.upper_bound)):
-            return f"trial {t}: unitary transport changed the frame bounds"
-
-        b = random_invertible(rng, n)
-        rep2 = analyze(iterate(transport(spec, b, tol).spec), tol)
-        if rep2.is_frame != base.is_frame:
-            return f"trial {t}: invertible transport changed the frame property"
-    return None
+def _check_dual_involution(rng, t, tol):
+    n = int(rng.integers(2, 7))
+    k = int(rng.integers(n, 13))
+    field = "complex" if t % 2 else "real"
+    frame = random_frame(rng, n, k, field=field)
+    back = canonical_dual(canonical_dual(frame, tol), tol)
+    if not back.close_to(frame, 10 * tol):
+        return f"trial {t}: double dual differs from the frame"
+    s_dual = frame_operator(canonical_dual(frame, tol))
+    if fro(s_dual - np.linalg.inv(frame_operator(frame))) > 1e-6:
+        return f"trial {t}: dual frame operator is not S^-1"
 
 
-def _suite_diagram_oracle(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(n, 11))
-        field = "complex" if t % 5 == 4 else "real"
-        if t % 2:
-            frame, _ = random_scalable_frame(rng, n, k, field=field)
-        else:
-            frame = random_frame(rng, n, k, field=field)
-        direct = _feasible(solve_scaling(frame, tol=tol))
-        _, _, oracle = gramian_scaling_check(frame, tol)
-        if direct != oracle:
-            return f"trial {t}: solver says {direct}, Gramian oracle says {oracle}"
-        if tight_via_diagram(frame, tol) != analyze(frame, tol).is_tight:
-            return f"trial {t}: diagram and spectral tightness disagree"
-    return None
+def _check_fusion_union(rng, t, tol):
+    n = int(rng.integers(2, 7))
+    u = random_unitary(rng, n)
+    cols = list(range(n))
+    rng.shuffle(cols)
+    n_sub = int(rng.integers(1, 4))
+    covering = t % 2 == 0
+    subs = []
+    used = []
+    for i in range(n_sub):
+        size = int(rng.integers(1, n + 1))
+        pick = [cols[j % n] for j in range(i, i + size)]
+        used.extend(pick)
+        subs.append(Frame(u[:, sorted(set(pick))]))
+    if covering:
+        missing = sorted(set(range(n)) - set(used))
+        if missing:
+            subs.append(Frame(u[:, missing]))
+    dec = fusion_check(subs, tol)
+    if dec.lower_bound > tol:
+        union = Frame(np.hstack([s.matrix for s in subs]))
+        if not analyze(union, tol).is_frame:
+            return f"trial {t}: fusion frame whose union fails the frame test"
 
 
-def _suite_certificate_soundness(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(n + 1, 11))
-        field = "complex" if t % 2 else "real"
+def _check_transport_naturality(rng, t, tol):
+    n = int(rng.integers(2, 5))
+    field = "complex" if t % 3 == 2 else "real"
+    spec = random_spec(rng, n, field=field, frame_only=False)
+    b = random_invertible(rng, n, field=field)
+    moved = transport(spec, b, tol).spec
+    lhs = iterate(moved).matrix
+    rhs = b @ iterate(spec).matrix
+    if fro(lhs - rhs) > 10 * tol * max(1.0, fro(rhs)):
+        return f"trial {t}: transported iterates differ from B times iterates"
+
+
+def _check_dual_conjugation(rng, t, tol):
+    n = int(rng.integers(2, 5))
+    field = "complex" if t % 2 else "real"
+    spec = random_spec(rng, n, field=field, max_ops=2)
+    dual = dynamical_dual(spec, tol)
+    lhs = iterate(dual.as_spec()).matrix
+    rhs = np.linalg.solve(dual.frame_op, iterate(spec).matrix)
+    if fro(lhs - rhs) > 1e-6 * max(1.0, fro(rhs)):
+        return f"trial {t}: dual iterates differ from S^-1 times iterates"
+
+
+def _check_dual_identity(rng, t, tol):
+    n = int(rng.integers(2, 5))
+    field = "complex" if t % 2 else "real"
+    spec = random_spec(rng, n, field=field, max_ops=2)
+    f = random_vector(rng, n, field)
+    rec = reconstruct(spec, take_samples(spec, f), tol=tol)
+    if np.linalg.norm(rec - f) > 1e-6 * max(1.0, np.linalg.norm(f)):
+        return f"trial {t}: reconstruction identity fails"
+
+
+def _check_transport_report(rng, t, tol):
+    n = int(rng.integers(2, 5))
+    spec = random_spec(rng, n)
+    base = analyze(iterate(spec), tol)
+
+    u = random_unitary(rng, n)
+    res = transport(spec, u, tol)
+    if not res.unitary:
+        return f"trial {t}: unitary map not recognized"
+    rep = analyze(iterate(res.spec), tol)
+    if (abs(rep.lower_bound - base.lower_bound) > 10 * tol * max(1.0, base.lower_bound)
+            or abs(rep.upper_bound - base.upper_bound) > 10 * tol * max(1.0, base.upper_bound)):
+        return f"trial {t}: unitary transport changed the frame bounds"
+
+    b = random_invertible(rng, n)
+    rep2 = analyze(iterate(transport(spec, b, tol).spec), tol)
+    if rep2.is_frame != base.is_frame:
+        return f"trial {t}: invertible transport changed the frame property"
+
+
+def _check_diagram_oracle(rng, t, tol):
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(n, 11))
+    field = "complex" if t % 5 == 4 else "real"
+    if t % 2:
         frame, _ = random_scalable_frame(rng, n, k, field=field)
-        res = solve_scaling(frame, tol=tol)
-        if not isinstance(res, ScalingCertificate):
-            return f"trial {t}: scalable-by-construction frame got no certificate"
-        f = frame.matrix
-        recomputed = fro((f * res.squares) @ f.conj().T - eye(n))
-        if recomputed > 10 * tol:
-            return f"trial {t}: certificate residual {recomputed:.2e}"
-        if abs(recomputed - res.residual) > tol:
-            return f"trial {t}: stored residual disagrees with recomputation"
-    return None
+    else:
+        frame = random_frame(rng, n, k, field=field)
+    direct = _feasible(solve_scaling(frame, tol=tol))
+    _, _, oracle = gramian_scaling_check(frame, tol)
+    if direct != oracle:
+        return f"trial {t}: solver says {direct}, Gramian oracle says {oracle}"
+    if tight_via_diagram(frame, tol) != analyze(frame, tol).is_tight:
+        return f"trial {t}: diagram and spectral tightness disagree"
 
 
-def _suite_witness_soundness(trials, seed, sid, tol):
+def _check_certificate_soundness(rng, t, tol):
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(n + 1, 11))
+    field = "complex" if t % 2 else "real"
+    frame, _ = random_scalable_frame(rng, n, k, field=field)
+    res = solve_scaling(frame, tol=tol)
+    if not isinstance(res, ScalingCertificate):
+        return f"trial {t}: scalable-by-construction frame got no certificate"
+    f = frame.matrix
+    recomputed = fro((f * res.squares) @ f.conj().T - eye(n))
+    if recomputed > 10 * tol:
+        return f"trial {t}: certificate residual {recomputed:.2e}"
+    if abs(recomputed - res.residual) > tol:
+        return f"trial {t}: stored residual disagrees with recomputation"
+
+
+def _check_witness_soundness(rng, t, tol):
     # even trials: frames inside the open positive orthant, which can
     # never scale to tightness (every off-diagonal contribution is
     # positive), so a Farkas witness must come back; odd trials: a
     # unitary basis plus one extra vector, always feasible with the
     # extra weight at zero.
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 5))
-        if t % 2 == 0:
-            k = int(rng.integers(n, n + 4))
-            cols = rng.uniform(0.1, 1.0, size=(n, k))
-            frame = Frame(cols)
-            res = solve_scaling(frame, tol=tol)
-            if not isinstance(res, InfeasibleWitness):
-                return f"trial {t}: positive-orthant frame came back feasible"
-            y = res.y
-            if (y @ res.system_rhs) <= tol:
-                return f"trial {t}: witness gap not positive"
-            if np.max(res.system_matrix.T @ y) > tol:
-                return f"trial {t}: witness violates the cone inequalities"
-        else:
-            base = random_unitary(rng, n)
-            extra = random_vector(rng, n)
-            extra = extra / np.linalg.norm(extra)
-            frame = Frame(np.column_stack([base, extra]))
-            res = solve_scaling(frame, tol=tol)
-            if isinstance(res, InfeasibleWitness):
-                return f"trial {t}: basis plus one vector reported infeasible"
-            f = frame.matrix
-            if fro((f * res.squares) @ f.conj().T - eye(n)) > 10 * tol:
-                return f"trial {t}: certificate residual too large"
-    return None
+    n = int(rng.integers(2, 5))
+    if t % 2 == 0:
+        k = int(rng.integers(n, n + 4))
+        cols = rng.uniform(0.1, 1.0, size=(n, k))
+        frame = Frame(cols)
+        res = solve_scaling(frame, tol=tol)
+        if not isinstance(res, InfeasibleWitness):
+            return f"trial {t}: positive-orthant frame came back feasible"
+        aeq, beq = _scaling_system(cols)
+        if (res.y @ beq) <= tol:
+            return f"trial {t}: witness gap not positive"
+        if np.max(aeq.T @ res.y) > tol:
+            return f"trial {t}: witness violates the cone inequalities"
+    else:
+        base = random_unitary(rng, n)
+        extra = random_vector(rng, n)
+        extra = extra / np.linalg.norm(extra)
+        frame = Frame(np.column_stack([base, extra]))
+        res = solve_scaling(frame, tol=tol)
+        if isinstance(res, InfeasibleWitness):
+            return f"trial {t}: basis plus one vector reported infeasible"
+        f = frame.matrix
+        if fro((f * res.squares) @ f.conj().T - eye(n)) > 10 * tol:
+            return f"trial {t}: certificate residual too large"
 
 
-def _suite_diagonal_equivalence(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 5))
-        field = "complex" if t % 2 else "real"
-        n_gens = int(rng.integers(1, 3))
-        a, gens, iters = random_diagonal_data(rng, n, field=field, n_gens=n_gens)
-        system = build_diagonal_system(a, gens, iters)
-        via_system = _feasible(nonneg_feasible(system.matrix, system.rhs, tol=tol))
-        spec = DynamicalSystemSpec(operators=(np.diag(a),), generators=tuple(gens),
-                                   triples=tuple((0, s, l) for s, l in enumerate(iters)))
-        via_frame = _feasible(solve_scaling(iterate(spec), tol=tol))
-        if via_system != via_frame:
-            return f"trial {t}: diagonal system {via_system}, direct solve {via_frame}"
-    return None
+def _check_diagonal_equivalence(rng, t, tol):
+    n = int(rng.integers(2, 5))
+    field = "complex" if t % 2 else "real"
+    n_gens = int(rng.integers(1, 3))
+    a, gens, iters = random_diagonal_data(rng, n, field=field, n_gens=n_gens)
+    system = build_diagonal_system(a, gens, iters)
+    via_system = _feasible(nonneg_feasible(system.matrix, system.rhs, tol=tol))
+    spec = DynamicalSystemSpec(operators=(np.diag(a),), generators=tuple(gens),
+                               triples=tuple((0, s, l) for s, l in enumerate(iters)))
+    via_frame = _feasible(solve_scaling(iterate(spec), tol=tol))
+    if via_system != via_frame:
+        return f"trial {t}: diagonal system {via_system}, direct solve {via_frame}"
 
 
-def _suite_unitary_scaling(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(n, 9))
-        field = "complex" if t % 3 == 2 else "real"
-        if t % 2:
-            frame, _ = random_scalable_frame(rng, n, k, field=field)
-        else:
-            frame = random_frame(rng, n, k, field=field)
-        u = random_unitary(rng, n, field=field)
-        before = solve_scaling(frame, tol=tol)
-        after = solve_scaling(Frame(u @ frame.matrix), tol=tol)
-        if _feasible(before) != _feasible(after):
-            return f"trial {t}: feasibility changed under a unitary"
-        if _feasible(before) and abs(before.margin - after.margin) > 10 * tol:
-            return (f"trial {t}: strict margin moved from "
-                    f"{before.margin:.3e} to {after.margin:.3e}")
-    return None
+def _check_unitary_scaling(rng, t, tol):
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(n, 9))
+    field = "complex" if t % 3 == 2 else "real"
+    if t % 2:
+        frame, _ = random_scalable_frame(rng, n, k, field=field)
+    else:
+        frame = random_frame(rng, n, k, field=field)
+    u = random_unitary(rng, n, field=field)
+    before = solve_scaling(frame, tol=tol)
+    after = solve_scaling(Frame(u @ frame.matrix), tol=tol)
+    if _feasible(before) != _feasible(after):
+        return f"trial {t}: feasibility changed under a unitary"
+    if _feasible(before) and abs(before.margin - after.margin) > 10 * tol:
+        return (f"trial {t}: strict margin moved from "
+                f"{before.margin:.3e} to {after.margin:.3e}")
 
 
 def _strict(frame, tol):
@@ -355,148 +311,143 @@ def _strict(frame, tol):
     return isinstance(res, ScalingCertificate) and res.strict
 
 
-def _suite_construction_certificates(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
+def _check_construction_certificates(rng, t, tol):
 
-        # closed-form three-vector weights against direct recomputation
-        a_, b_, d_ = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
-        if rng.integers(2):
-            b_ = -b_
-        if rng.integers(2):
-            d_ = -d_
-        r = rng.uniform(0.1, 0.9)
-        c_ = -r * b_ * d_ / a_
-        ok, w = cons.check_2scale(cons.TwoParamBlock(a_, b_, c_, d_), tol)
-        if not ok:
-            return f"trial {t}: in-range parameters rejected"
-        fw = np.array([[w[0], w[1] * a_, w[2] * c_], [0.0, w[1] * b_, w[2] * d_]])
-        if fro(fw @ fw.T - eye(2)) > 10 * tol:
-            return f"trial {t}: closed-form weights are not Parseval"
-        if not _strict(Frame(np.array([[1.0, a_, c_], [0.0, b_, d_]])), tol):
-            return f"trial {t}: solver denies a criterion-positive instance"
+    # closed-form three-vector weights against direct recomputation
+    a_, b_, d_ = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
+    if rng.integers(2):
+        b_ = -b_
+    if rng.integers(2):
+        d_ = -d_
+    r = rng.uniform(0.1, 0.9)
+    c_ = -r * b_ * d_ / a_
+    ok, w = cons.check_2scale(cons.TwoParamBlock(a_, b_, c_, d_), tol)
+    if not ok:
+        return f"trial {t}: in-range parameters rejected"
+    fw = np.array([[w[0], w[1] * a_, w[2] * c_], [0.0, w[1] * b_, w[2] * d_]])
+    if fro(fw @ fw.T - eye(2)) > 10 * tol:
+        return f"trial {t}: closed-form weights are not Parseval"
+    if not _strict(Frame(np.array([[1.0, a_, c_], [0.0, b_, d_]])), tol):
+        return f"trial {t}: solver denies a criterion-positive instance"
 
-        r_out = rng.uniform(1.1, 2.0)
-        ok, _ = cons.check_2scale(
-            cons.TwoParamBlock(a_, b_, -r_out * b_ * d_ / a_, d_), tol)
-        if ok:
-            return f"trial {t}: out-of-range parameters accepted"
+    r_out = rng.uniform(1.1, 2.0)
+    ok, _ = cons.check_2scale(
+        cons.TwoParamBlock(a_, b_, -r_out * b_ * d_ / a_, d_), tol)
+    if ok:
+        return f"trial {t}: out-of-range parameters accepted"
 
-        # tight family
-        at = rng.uniform(-1.5, 1.5)
-        dt = rng.uniform(-1.5, 1.5)
-        if abs(at + dt) < 0.1:
-            dt += 0.5
-        p = cons.tight_2x3(at, dt, sign=1 if rng.integers(2) else -1)
-        ft = np.array([[1.0, p.a, p.a ** 2 + p.b * p.c],
-                       [0.0, p.b, p.a * p.b + p.b * p.d]])
-        if not analyze(Frame(ft), 1e-8).is_tight:
-            return f"trial {t}: tight family failed the tightness test"
+    # tight family
+    at = rng.uniform(-1.5, 1.5)
+    dt = rng.uniform(-1.5, 1.5)
+    if abs(at + dt) < 0.1:
+        dt += 0.5
+    p = cons.tight_2x3(at, dt, sign=1 if rng.integers(2) else -1)
+    ft = np.array([[1.0, p.a, p.a ** 2 + p.b * p.c],
+                   [0.0, p.b, p.a * p.b + p.b * p.d]])
+    if not analyze(Frame(ft), 1e-8).is_tight:
+        return f"trial {t}: tight family failed the tightness test"
 
-        # four-vector sign criterion, both directions
-        vals = rng.uniform(0.3, 1.5, size=4) * rng.choice([-1.0, 1.0], size=4)
-        p4 = cons.TwoParamBlock(*vals)
-        frame4 = Frame(np.array([[1.0, 0.0, p4.a, p4.c], [0.0, 1.0, p4.b, p4.d]]))
-        if cons.check_2x4(p4, tol) != _strict(frame4, tol):
-            return f"trial {t}: four-vector criterion and solver disagree"
+    # four-vector sign criterion, both directions
+    vals = rng.uniform(0.3, 1.5, size=4) * rng.choice([-1.0, 1.0], size=4)
+    p4 = cons.TwoParamBlock(*vals)
+    frame4 = Frame(np.array([[1.0, 0.0, p4.a, p4.c], [0.0, 1.0, p4.b, p4.d]]))
+    if cons.check_2x4(p4, tol) != _strict(frame4, tol):
+        return f"trial {t}: four-vector criterion and solver disagree"
 
-        # orthogonal pair: first-column (0, b) case
-        b0 = rng.uniform(0.3, 2.0) * (1 if rng.integers(2) else -1)
-        res0 = solve_scaling(Frame(np.array([[1.0, 0.0], [0.0, b0]])), tol=tol)
-        if not (isinstance(res0, ScalingCertificate) and res0.strict):
-            return f"trial {t}: orthogonal pair not strictly scalable"
-        if np.max(np.abs(res0.weights - np.array([1.0, 1.0 / abs(b0)]))) > 1e-6:
-            return f"trial {t}: orthogonal pair weights differ from (1, 1/|b|)"
+    # orthogonal pair: first-column (0, b) case
+    b0 = rng.uniform(0.3, 2.0) * (1 if rng.integers(2) else -1)
+    res0 = solve_scaling(Frame(np.array([[1.0, 0.0], [0.0, b0]])), tol=tol)
+    if not (isinstance(res0, ScalingCertificate) and res0.strict):
+        return f"trial {t}: orthogonal pair not strictly scalable"
+    if np.max(np.abs(res0.weights - np.array([1.0, 1.0 / abs(b0)]))) > 1e-6:
+        return f"trial {t}: orthogonal pair weights differ from (1, 1/|b|)"
 
-        # rotation families
-        omega = rng.uniform(np.pi / 4 + 0.05, 3 * np.pi / 4 - 0.05)
-        n_rot = int(rng.integers(2, 5))
-        if not _strict(iterate(cons.rotation_system(omega, n_rot, "shift")), tol):
-            return f"trial {t}: shift rotation family not strict"
-        signs = tuple(rng.choice([-1.0, 1.0], size=max(0, n_rot - 2)))
-        if not _strict(iterate(cons.rotation_system(omega, n_rot, "schur", signs)), tol):
-            return f"trial {t}: schur rotation family not strict"
+    # rotation families
+    omega = rng.uniform(np.pi / 4 + 0.05, 3 * np.pi / 4 - 0.05)
+    n_rot = int(rng.integers(2, 5))
+    if not _strict(iterate(cons.rotation_system(omega, n_rot, "shift")), tol):
+        return f"trial {t}: shift rotation family not strict"
+    signs = tuple(rng.choice([-1.0, 1.0], size=max(0, n_rot - 2)))
+    if not _strict(iterate(cons.rotation_system(omega, n_rot, "schur", signs)), tol):
+        return f"trial {t}: schur rotation family not strict"
 
-        # harmonic systems are Parseval
-        n_h = int(rng.integers(2, 5))
-        k_h = n_h + int(rng.integers(0, 4))
-        if not analyze(iterate(cons.harmonic(n_h, k_h)), 1e-8).parseval:
-            return f"trial {t}: harmonic system not Parseval"
+    # harmonic systems are Parseval
+    n_h = int(rng.integers(2, 5))
+    k_h = n_h + int(rng.integers(0, 4))
+    if not analyze(iterate(cons.harmonic(n_h, k_h)), 1e-8).parseval:
+        return f"trial {t}: harmonic system not Parseval"
 
-        # companion basics
-        coeffs = random_vector(rng, int(rng.integers(2, 6)))
-        comp = cons.companion(coeffs)
-        n_c = comp.shape[0]
-        e1 = eye(n_c)[:, 0]
-        ident = iterate(DynamicalSystemSpec.single(comp, e1, n_c - 1))
-        if fro(ident.matrix - eye(n_c)) > 10 * tol:
-            return f"trial {t}: companion iterates do not sweep the basis"
+    # companion basics
+    coeffs = random_vector(rng, int(rng.integers(2, 6)))
+    comp = cons.companion(coeffs)
+    n_c = comp.shape[0]
+    e1 = eye(n_c)[:, 0]
+    ident = iterate(DynamicalSystemSpec.single(comp, e1, n_c - 1))
+    if fro(ident.matrix - eye(n_c)) > 10 * tol:
+        return f"trial {t}: companion iterates do not sweep the basis"
 
-        # structured families, both branches
-        rr = rng.uniform(0.1, 0.9)
-        spec3 = cons.r3_structured(1.0, 1.0, -1.0 - 2.0 * rr, 1.0, tol=tol)
-        if not _strict(iterate(spec3), tol):
-            return f"trial {t}: structured 3d family not strict"
-        bb = rng.uniform(0.5, 1.5)
-        aa = -bb * bb - rng.uniform(0.5, 2.0)
-        nn = int(rng.integers(3, 6))
-        specc = cons.r3_structured(aa, bb, n=nn, tol=tol)
-        if not _strict(iterate(specc), tol):
-            return f"trial {t}: companion family not strict"
+    # structured families, both branches
+    rr = rng.uniform(0.1, 0.9)
+    spec3 = cons.r3_structured(1.0, 1.0, -1.0 - 2.0 * rr, 1.0, tol=tol)
+    if not _strict(iterate(spec3), tol):
+        return f"trial {t}: structured 3d family not strict"
+    bb = rng.uniform(0.5, 1.5)
+    aa = -bb * bb - rng.uniform(0.5, 2.0)
+    nn = int(rng.integers(3, 6))
+    specc = cons.r3_structured(aa, bb, n=nn, tol=tol)
+    if not _strict(iterate(specc), tol):
+        return f"trial {t}: companion family not strict"
 
-        # multiple rotated planes sharing the generator
-        alpha = rng.uniform(np.pi / 4 + 0.05, 3 * np.pi / 4 - 0.05)
-        spec_m = cons.multigen_rotation([(0, 0, 1, 1, alpha), (0, 0, 2, 2, alpha)])
-        if not _strict(iterate(spec_m), tol):
-            return f"trial {t}: two-plane system not strict"
-    return None
+    # multiple rotated planes sharing the generator
+    alpha = rng.uniform(np.pi / 4 + 0.05, 3 * np.pi / 4 - 0.05)
+    spec_m = cons.multigen_rotation([(0, 0, 1, 1, alpha), (0, 0, 2, 2, alpha)])
+    if not _strict(iterate(spec_m), tol):
+        return f"trial {t}: two-plane system not strict"
 
 
-def _suite_block_theorem(trials, seed, sid, tol):
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        p = int(rng.integers(2, 4))
-        blocks = []
-        statuses = []
-        force_bad = t % 2 == 1
-        bad_slot = int(rng.integers(p)) if force_bad else -1
-        for s in range(p):
-            ns = int(rng.integers(2, 4))
-            if s == bad_slot:
-                u = random_unitary(rng, ns)
-                v = random_vector(rng, ns)
-                blk = Frame(np.column_stack([u, v / np.linalg.norm(v)]))
-            else:
-                blk, _ = random_scalable_frame(rng, ns, ns + int(rng.integers(1, 4)))
-            blocks.append(blk)
-            statuses.append(_feasible(solve_scaling(blk, tol=tol)))
-        dims = [b.dim for b in blocks]
-        total = int(sum(dims))
-        cols = []
-        off = 0
-        for b in blocks:
-            block_cols = np.zeros((total, b.size))
-            block_cols[off:off + b.dim, :] = b.matrix
-            cols.append(block_cols)
-            off += b.dim
-        stacked = Frame(np.hstack(cols))
-        if _feasible(solve_scaling(stacked, tol=tol)) != all(statuses):
-            return f"trial {t}: stacked feasibility differs from blockwise"
+def _check_block_theorem(rng, t, tol):
+    p = int(rng.integers(2, 4))
+    blocks = []
+    statuses = []
+    force_bad = t % 2 == 1
+    bad_slot = int(rng.integers(p)) if force_bad else -1
+    for s in range(p):
+        ns = int(rng.integers(2, 4))
+        if s == bad_slot:
+            u = random_unitary(rng, ns)
+            v = random_vector(rng, ns)
+            blk = Frame(np.column_stack([u, v / np.linalg.norm(v)]))
+        else:
+            blk, _ = random_scalable_frame(rng, ns, ns + int(rng.integers(1, 4)))
+        blocks.append(blk)
+        statuses.append(_feasible(solve_scaling(blk, tol=tol)))
+    dims = [b.dim for b in blocks]
+    total = int(sum(dims))
+    cols = []
+    off = 0
+    for b in blocks:
+        block_cols = np.zeros((total, b.size))
+        block_cols[off:off + b.dim, :] = b.matrix
+        cols.append(block_cols)
+        off += b.dim
+    stacked = Frame(np.hstack(cols))
+    if _feasible(solve_scaling(stacked, tol=tol)) != all(statuses):
+        return f"trial {t}: stacked feasibility differs from blockwise"
 
-        spec = cons.BlockDiagSpec(tuple(random_matrix(rng, d) for d in dims))
-        big = cons.block_diag(spec)
-        s_pick = int(rng.integers(p))
-        v = random_vector(rng, dims[s_pick])
-        lhs = big @ cons.embed(spec, v, s_pick)
-        rhs = cons.embed(spec, spec.blocks[s_pick] @ v, s_pick)
-        if np.linalg.norm(lhs - rhs) > 10 * tol * max(1.0, np.linalg.norm(rhs)):
-            return f"trial {t}: embedding does not commute with the operator"
-    return None
+    spec = cons.BlockDiagSpec(tuple(random_matrix(rng, d) for d in dims))
+    big = cons.block_diag(spec)
+    s_pick = int(rng.integers(p))
+    v = random_vector(rng, dims[s_pick])
+    lhs = big @ cons.embed(spec, v, s_pick)
+    rhs = cons.embed(spec, spec.blocks[s_pick] @ v, s_pick)
+    if np.linalg.norm(lhs - rhs) > 10 * tol * max(1.0, np.linalg.norm(rhs)):
+        return f"trial {t}: embedding does not commute with the operator"
 
 
-def _suite_2scale_boundary(trials, seed, sid, tol):
-    targets = [-0.5, 0.0, 0.5, 1.0, 1.5]
-    for r in targets:
+def _check_2scale_boundary(rng, t, tol):
+    if t:
+        return None
+    for r in [-0.5, 0.0, 0.5, 1.0, 1.5]:
         # with (a, b, d) = (1, 1, 1) the criterion ratio -ac/(bd) equals -c
         frame = Frame(np.array([[1.0, 1.0, -r], [0.0, 1.0, 1.0]]))
         res = solve_scaling(frame, tol=tol)
@@ -511,60 +462,74 @@ def _suite_2scale_boundary(trials, seed, sid, tol):
         flag, _ = cons.check_2scale(cons.TwoParamBlock(1.0, 1.0, -r, 1.0), tol)
         if flag != (r == 0.5):
             return f"ratio {r}: criterion flag {flag}"
-    return None
 
 
-def _suite_one_vector(trials, seed, sid, tol):
-    if real_one_vector_obstruction([1.0, -1.0]):
-        return "n=2 diagonal wrongly reported obstructed"
-    spec2 = DynamicalSystemSpec.single(np.diag([1.0, -1.0]),
-                                       np.array([0.5, 0.5]), 3)
-    res2 = solve_scaling(iterate(spec2), tol=tol)
-    if not (isinstance(res2, ScalingCertificate) and res2.strict):
-        return "the 2d one-vector example is not strictly scalable"
-    for t in range(trials):
-        rng = _rng(seed, sid, t)
-        n = int(rng.integers(3, 6))
-        a, gens, _ = random_diagonal_data(rng, n, n_gens=1, max_l=1)
-        if not real_one_vector_obstruction(a):
-            return f"trial {t}: n={n} diagonal not reported obstructed"
-        l = int(rng.integers(n, 2 * n + 2))
-        spec = DynamicalSystemSpec.single(np.diag(a), gens[0], l)
-        res = solve_scaling(iterate(spec), tol=tol)
-        if isinstance(res, ScalingCertificate) and res.strict:
-            return f"trial {t}: strict certificate against the obstruction"
-    return None
+def _check_one_vector(rng, t, tol):
+    if t == 0:
+        if real_one_vector_obstruction([1.0, -1.0]):
+            return "n=2 diagonal wrongly reported obstructed"
+        spec2 = DynamicalSystemSpec.single(np.diag([1.0, -1.0]),
+                                           np.array([0.5, 0.5]), 3)
+        res2 = solve_scaling(iterate(spec2), tol=tol)
+        if not (isinstance(res2, ScalingCertificate) and res2.strict):
+            return "the 2d one-vector example is not strictly scalable"
+    n = int(rng.integers(3, 6))
+    a, gens, _ = random_diagonal_data(rng, n, n_gens=1, max_l=1)
+    if not real_one_vector_obstruction(a):
+        return f"trial {t}: n={n} diagonal not reported obstructed"
+    l = int(rng.integers(n, 2 * n + 2))
+    spec = DynamicalSystemSpec.single(np.diag(a), gens[0], l)
+    res = solve_scaling(iterate(spec), tol=tol)
+    if isinstance(res, ScalingCertificate) and res.strict:
+        return f"trial {t}: strict certificate against the obstruction"
 
 
+# (name, default trial count, check); a check returns None or the
+# detail of its trial's failure
 _SUITES = [
-    ("eig-roundtrip", 50, _suite_eig_roundtrip),
-    ("feasibility-certificates", 50, _suite_feasibility),
-    ("frame-inequality", 20, _suite_frame_inequality),
-    ("dual-involution", 20, _suite_dual_involution),
-    ("fusion-union", 20, _suite_fusion_union),
-    ("transport-naturality", 100, _suite_transport_naturality),
-    ("dual-conjugation", 50, _suite_dual_conjugation),
-    ("dual-identity", 100, _suite_dual_identity),
-    ("transport-report", 50, _suite_transport_report),
-    ("diagram-oracle", 500, _suite_diagram_oracle),
-    ("certificate-soundness", 100, _suite_certificate_soundness),
-    ("witness-soundness", 100, _suite_witness_soundness),
-    ("diagonal-equivalence", 100, _suite_diagonal_equivalence),
-    ("unitary-scaling", 50, _suite_unitary_scaling),
-    ("construction-certificates", 25, _suite_construction_certificates),
-    ("block-theorem", 50, _suite_block_theorem),
-    ("2scale-boundary", 1, _suite_2scale_boundary),
-    ("one-vector", 30, _suite_one_vector),
+    ("eig-roundtrip", 50, _check_eig_roundtrip),
+    ("feasibility-certificates", 50, _check_feasibility),
+    ("frame-inequality", 20, _check_frame_inequality),
+    ("dual-involution", 20, _check_dual_involution),
+    ("fusion-union", 20, _check_fusion_union),
+    ("transport-naturality", 100, _check_transport_naturality),
+    ("dual-conjugation", 50, _check_dual_conjugation),
+    ("dual-identity", 100, _check_dual_identity),
+    ("transport-report", 50, _check_transport_report),
+    ("diagram-oracle", 500, _check_diagram_oracle),
+    ("certificate-soundness", 100, _check_certificate_soundness),
+    ("witness-soundness", 100, _check_witness_soundness),
+    ("diagonal-equivalence", 100, _check_diagonal_equivalence),
+    ("unitary-scaling", 50, _check_unitary_scaling),
+    ("construction-certificates", 25, _check_construction_certificates),
+    ("block-theorem", 50, _check_block_theorem),
+    ("2scale-boundary", 1, _check_2scale_boundary),
+    ("one-vector", 30, _check_one_vector),
 ]
 
 SUITE_NAMES = [name for name, _, _ in _SUITES]
 
 
 def run_suite(name, trials=None, seed=0, tol=DEFAULT_TOL) -> SuiteResult:
-    for sid, (sname, default_trials, fn) in enumerate(_SUITES):
-        if sname == name:
-            n_trials = default_trials if trials is None else int(trials)
-            detail = fn(n_trials, seed, sid, tol)
-            return SuiteResult(name=sname, passed=detail is None,
-                               trials=n_trials, detail=detail or "ok")
-    raise KeyError(f"unknown suite {name!r}")
+    """Run a suite's check on trials 0..trials-1, stopping at the first failure.
+
+    Trial t draws from its own generator, seeded from (seed, suite
+    index, t).  A library error raised by a check fails that trial.
+    """
+    if name not in SUITE_NAMES:
+        raise KeyError(f"unknown suite {name!r}")
+    sid = SUITE_NAMES.index(name)
+    _, default_trials, check = _SUITES[sid]
+    n_trials = default_trials if trials is None else int(trials)
+    detail = None
+    for t in range(n_trials):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(sid, t)))
+        try:
+            detail = check(rng, t, tol)
+        except DynframeError as exc:
+            detail = f"trial {t}: raised {type(exc).__name__}: {exc}"
+        if detail is not None:
+            break
+    return SuiteResult(name=name, passed=detail is None, trials=n_trials,
+                       detail=detail or "ok")

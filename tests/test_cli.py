@@ -1,12 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dynframe
 import dynframe.serialize as ser
+from dynframe import verify
 from dynframe.cli import main
 from dynframe.dynamics import iterate, take_samples
-from dynframe.errors import InputError
+from dynframe.errors import InputError, NumericalFailure
 from dynframe.frames import verify_duality
 from dynframe.scalability import scaling_residual
 from dynframe.verify import SuiteResult
@@ -73,6 +78,17 @@ class TestPipeline:
     def test_help_exits_clean(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
+    def test_import_loads_no_scipy(self):
+        # scipy is imported only by the LP and the Schur branch, on first use
+        code = ("import sys, dynframe.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.dirname(os.path.dirname(dynframe.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
+
 
 def _system_dict():
     return {"dim": 2, "field": "real",
@@ -102,9 +118,14 @@ class TestSystemInput:
         _set(("generators", 0), [1.0, 0.0, 0.0]),
         _set(("generators", 1), [0.0, 0.0]),
         _set(("operators", 1), ser.matrix_to_json(np.eye(3))),
+        # a one-dimensional system, where True would pass as dim 1
+        lambda d: d.update(dim=True, operators=[ser.matrix_to_json(np.eye(1))],
+                           generators=[[1.0]], triples=[[0, 0, 1]]),
+        _set(("operators", 0), {"rows": True, "cols": True, "field": "real",
+                                "data": [[1.0]]}),
     ], ids=["operator-index", "generator-index", "negative-L", "bool-L",
             "dim-mismatch", "non-square-operator", "generator-length",
-            "zero-generator", "mixed-operator-sizes"])
+            "zero-generator", "mixed-operator-sizes", "bool-dim", "bool-rows-cols"])
     def test_malformed_system_is_input_error(self, edit, tmp_path, capsys):
         good = _system_dict()
         assert ser.system_from_json(good).dim == 2
@@ -356,6 +377,21 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "--suite", "eig-roundtrip")
         assert code == 1
         assert "FAIL" in out and "forced failure" in out
+
+    def test_raising_check_fails_only_its_suite(self, capsys, monkeypatch):
+        def check(rng, t, tol):
+            if t == 1:
+                raise NumericalFailure("forced")
+        suites = list(verify._SUITES)
+        suites[verify.SUITE_NAMES.index("eig-roundtrip")] = ("eig-roundtrip", 50, check)
+        monkeypatch.setattr(verify, "_SUITES", suites)
+        code, out, _ = run(capsys, "verify", "--suite", "eig-roundtrip",
+                           "--suite", "dual-identity", "--trials", 3)
+        assert code == 1
+        assert out.splitlines() == [
+            "FAIL  eig-roundtrip  trials=3  trial 1: raised NumericalFailure: forced",
+            "PASS  dual-identity  trials=3",
+        ]
 
     def test_seed_changes_draws_not_verdicts(self, capsys):
         for seed in (0, 7):

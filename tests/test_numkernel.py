@@ -126,10 +126,11 @@ class TestNonnegFeasible:
         assert res.margin > DEFAULT_TOL
 
     def test_contradictory_rows(self):
-        res = nonneg_feasible(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+        a, b = np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
+        res = nonneg_feasible(a, b)
         assert isinstance(res, InfeasibleWitness)
-        assert res.y @ res.system_rhs > DEFAULT_TOL
-        assert np.max(res.system_matrix.T @ res.y) <= DEFAULT_TOL
+        assert res.y @ b > DEFAULT_TOL
+        assert np.max(a.T @ res.y) <= DEFAULT_TOL
 
     def test_deterministic(self, rng):
         a = rng.standard_normal((3, 6))
