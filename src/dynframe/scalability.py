@@ -1,12 +1,22 @@
 """Tightness and scalability: diagram vectors, weight certificates, diagonal systems.
 
-Two independent decision routes are kept deliberately separate:
+The scaling question sum_i x_i f_i f_i* = I, x = w^2 >= 0, is decided by
+three routes:
 
-* the direct feasibility formulation sum_i x_i f_i f_i* = I over x = w^2
-  (primary, no unit-norm assumption), and
-* the diagram-vector Gramian test on the unit-normalized frame (oracle).
+* the closed form (_closed_form): when the k operators f_i f_i* are
+  linearly independent, K x = c with K = |F*F|^2 (entrywise) and
+  c_i = |f_i|^2 has the only candidate solution, and the Farkas
+  alternative comes in closed form too;
+* the max-min LP (numkernel.nonneg_feasible) on the range of the
+  equality system, for rank-deficient systems and anything the closed
+  form leaves undecided.  Both routes return a certificate checked on
+  the raw columns or a witness that clears _sound_witness;
+* the diagram-vector Gramian test on the unit-normalized frame (oracle),
+  built apart from K: it decides by its null dimension, with an LP only
+  when that dimension is 2 or more.
 
-Their agreement is a checked invariant, never assumed.
+The agreement of the solver and the oracle is a checked invariant,
+never assumed.
 """
 
 from dataclasses import dataclass
@@ -18,6 +28,12 @@ from .errors import NumericalFailure, ShapeMismatch, TemplateMismatch, ZeroVecto
 from .frames import Frame
 from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, as_vector, fro,
                         hermitian_eig, nonneg_feasible)
+
+# Eigenvalues of the unit-column K = |U*U|^2 at or below this fraction of
+# its largest make _closed_form leave the system to the LP.  The fast path
+# needs K invertible; its answers are checked on the raw columns anyway,
+# so the cutoff only has to keep x = K^-1 1 meaningful.
+_K_RCOND = 1e-10
 
 
 @dataclass(frozen=True)
@@ -172,13 +188,84 @@ def _sound_witness(w: InfeasibleWitness, aeq, n: int) -> InfeasibleWitness:
     return w
 
 
+def _checked_witness(y, aeq, beq, n: int, tol: float):
+    """y scaled to max|y| = 1 as a witness, if it passes nonneg_feasible's gate
+    (gap > tol, max violation <= tol) and then _sound_witness; else None."""
+    y = y / np.max(np.abs(y))
+    gap = float(beq @ y)
+    viol = float(np.max(y @ aeq))
+    if not (gap > tol and viol <= tol):
+        return None
+    try:
+        return _sound_witness(InfeasibleWitness(y=y, gap=gap, max_violation=viol), aeq, n)
+    except NumericalFailure:
+        return None
+
+
+def _closed_form(aeq, beq, columns, tol: float):
+    """Decide the scaling system without an LP when its solution is forced.
+
+    With u_i = f_i / |f_i| and K = |U*U|^2 (entrywise), K is the Gramian
+    of the operators u_i u_i* in the trace inner product.  When it is
+    nonsingular, sum_i x_i f_i f_i* = I has at most one solution,
+    x = (K^-1 1) / |f_i|^2, so the max-min LP could only find that point:
+    x >= 0 with a small residual is a certificate with margin min x.
+    Otherwise the Farkas alternative comes in closed form.  For x_j < 0,
+    z = K^-1 e_j / |f|^2 gives y = -W aeq z with y'aeq = -e_j' and
+    y'beq = -x_j > 0 (up to the positive factor |f_j|^2); W weights the
+    diagonal rows by 1 and the pair rows by 2, so that y' aeq_i is the
+    trace inner product of Y with f_i f_i*.  A large residual gives
+    y = W (beq - aeq x), with y'aeq = 0 and y'beq = ||I - sum x_i f_i f_i*||^2.
+
+    Returns a certificate, a witness that passes the checks of
+    _checked_witness, or None, which means "run the LP": when some column
+    is zero, when k exceeds the row count of aeq, when K is numerically
+    singular, and when a witness does not check.
+    """
+    n, k = columns.shape
+    norms = np.sum(np.abs(columns) ** 2, axis=0)
+    if k > aeq.shape[0] or not np.all(norms > 0):
+        return None
+    unit = columns / np.sqrt(norms)
+    try:
+        lam, vecs = np.linalg.eigh(np.abs(unit.conj().T @ unit) ** 2)
+    except np.linalg.LinAlgError:
+        return None
+    if not lam[0] > _K_RCOND * lam[-1]:
+        return None
+    unit_x = vecs @ (vecs.sum(axis=0) / lam)
+    x = unit_x / norms
+    residual = scaling_residual(columns, x)
+    if x.min() >= 0 and residual <= tol:
+        margin = float(x.min())
+        return ScalingCertificate(weights=np.sqrt(x), squares=x, tight_constant=1.0,
+                                  residual=residual, strict=margin > tol, margin=margin)
+    w = np.ones(aeq.shape[0])
+    w[n:] = 2.0
+    candidates = []
+    if x.min() < 0:
+        z = vecs @ (vecs[int(np.argmin(unit_x))] / lam) / norms
+        candidates.append(-w * (aeq @ z))
+    if residual > tol:
+        candidates.append(w * (beq - aeq @ x))
+    for y in candidates:
+        witness = _checked_witness(y, aeq, beq, n, tol)
+        if witness is not None:
+            return witness
+    return None
+
+
 def _solve(aeq, beq, columns, tol: float):
     """Decide aeq x = beq, x >= 0 for the scaling system of columns.
 
-    Returns a certificate whose residual is recomputed on the n x k
-    matrix columns (zero columns allowed), or a witness that clears
+    Tries _closed_form first and runs nonneg_feasible when it gives no
+    answer.  Returns a certificate whose residual is recomputed on the
+    n x k matrix columns (zero columns allowed), or a witness that clears
     _sound_witness; anything else raises NumericalFailure.
     """
+    fast = _closed_form(aeq, beq, columns, tol)
+    if fast is not None:
+        return fast
     res = nonneg_feasible(aeq, beq, tol=tol)
     if isinstance(res, InfeasibleWitness):
         return _sound_witness(res, aeq, columns.shape[0])
@@ -195,10 +282,16 @@ def _solve(aeq, beq, columns, tol: float):
 def solve_scaling(frame: Frame, tol: float = DEFAULT_TOL):
     """Weights w_i >= 0 with sum w_i^2 f_i f_i* = I, or a Farkas witness.
 
-    The solver always maximizes the minimum of x = w^2, and the strict
-    flag on the certificate records margin > tol.  A witness is returned
-    only when its gap clears the soundness bound of the trace row; any
-    other infeasibility report raises NumericalFailure ("undecided").
+    The answer always carries the maximized minimum of x = w^2, and the
+    strict flag on the certificate records margin > tol.  Routes: when
+    K = |F*F|^2 is nonsingular the solution x = K^-1 c is unique, so a
+    nonnegative one is the certificate and a negative entry or a large
+    residual gives the witness in closed form; otherwise, or when that
+    witness does not check, the max-min LP decides.  The Gramian oracle
+    (gramian_scaling_check) is the third, independent route.  A witness
+    is returned only when its gap clears the soundness bound of the trace
+    row; any other infeasibility report raises NumericalFailure
+    ("undecided").
     """
     return _solve(*_scaling_system(frame.matrix), frame.matrix, tol)
 
@@ -209,7 +302,10 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     Vectors are unit-normalized first (the characterization is stated
     for unit-norm frames; rescaling is absorbed into the weights).
     Returns (Gramian of the diagram vectors, orthonormal basis of its
-    null space, whether a nonnegative nonzero null vector exists).
+    null space, whether a nonnegative nonzero null vector exists).  The
+    null dimension d decides the route: d = 0 leaves no such vector, d = 1
+    decides by the signs of the single null vector, and d >= 2 solves
+    [G; 1'] x = (0, 1), x >= 0 with nonneg_feasible.
     """
     unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)
     diag = _diagram_columns(unit)
@@ -220,6 +316,12 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     lam, vecs = hermitian_eig(gram, tol)
     null_mask = lam <= tol * max(1.0, float(lam[0]))
     null_basis = vecs[:, null_mask]
+    if null_basis.shape[1] == 0:
+        return gram, null_basis, False
+    if null_basis.shape[1] == 1:
+        v = null_basis[:, 0]
+        v = v * np.sign(v[np.argmax(np.abs(v))])
+        return gram, null_basis, bool(v.min() >= -tol)
 
     sys_matrix = np.vstack([gram, np.ones((1, k))])
     sys_rhs = np.concatenate([np.zeros(k), [1.0]])

@@ -210,7 +210,37 @@ def _check_transport_report(rng, t, tol):
         return f"trial {t}: invertible transport changed the frame property"
 
 
+def _ladder(frame_check, tol):
+    """frame_check on the size ladder: the first failure's detail, or None.
+
+    Draw (n, s) for n in {6, 8, 10, 12, 16, 20} and s < 20 is
+    rng = default_rng(1000 n + s), k = rng.integers(2n, 5n),
+    random_scalable_frame(rng, n, k): sizes the per-trial draws (n <= 4)
+    never reach.
+    """
+    for n in (6, 8, 10, 12, 16, 20):
+        for s in range(20):
+            rng = np.random.default_rng(1000 * n + s)
+            frame, _ = random_scalable_frame(rng, n, int(rng.integers(2 * n, 5 * n)))
+            detail = frame_check(frame, tol)
+            if detail is not None:
+                return f"ladder (n={n}, s={s}): {detail}"
+
+
+def _oracle_disagreement(frame, tol):
+    direct = _feasible(solve_scaling(frame, tol=tol))
+    _, _, oracle = gramian_scaling_check(frame, tol)
+    if direct != oracle:
+        return f"solver says {direct}, Gramian oracle says {oracle}"
+    if tight_via_diagram(frame, tol) != analyze(frame, tol).is_tight:
+        return "diagram and spectral tightness disagree"
+
+
 def _check_diagram_oracle(rng, t, tol):
+    if t == 0:
+        detail = _ladder(_oracle_disagreement, tol)
+        if detail is not None:
+            return detail
     n = int(rng.integers(2, 5))
     k = int(rng.integers(n, 11))
     field = "complex" if t % 5 == 4 else "real"
@@ -218,28 +248,35 @@ def _check_diagram_oracle(rng, t, tol):
         frame, _ = random_scalable_frame(rng, n, k, field=field)
     else:
         frame = random_frame(rng, n, k, field=field)
-    direct = _feasible(solve_scaling(frame, tol=tol))
-    _, _, oracle = gramian_scaling_check(frame, tol)
-    if direct != oracle:
-        return f"trial {t}: solver says {direct}, Gramian oracle says {oracle}"
-    if tight_via_diagram(frame, tol) != analyze(frame, tol).is_tight:
-        return f"trial {t}: diagram and spectral tightness disagree"
+    detail = _oracle_disagreement(frame, tol)
+    if detail is not None:
+        return f"trial {t}: {detail}"
+
+
+def _certificate_fault(frame, tol):
+    res = solve_scaling(frame, tol=tol)
+    if not isinstance(res, ScalingCertificate):
+        return "scalable-by-construction frame got no certificate"
+    f = frame.matrix
+    recomputed = fro((f * res.squares) @ f.conj().T - eye(frame.dim))
+    if recomputed > 10 * tol:
+        return f"certificate residual {recomputed:.2e}"
+    if abs(recomputed - res.residual) > tol:
+        return "stored residual disagrees with recomputation"
 
 
 def _check_certificate_soundness(rng, t, tol):
+    if t == 0:
+        detail = _ladder(_certificate_fault, tol)
+        if detail is not None:
+            return detail
     n = int(rng.integers(2, 5))
     k = int(rng.integers(n + 1, 11))
     field = "complex" if t % 2 else "real"
     frame, _ = random_scalable_frame(rng, n, k, field=field)
-    res = solve_scaling(frame, tol=tol)
-    if not isinstance(res, ScalingCertificate):
-        return f"trial {t}: scalable-by-construction frame got no certificate"
-    f = frame.matrix
-    recomputed = fro((f * res.squares) @ f.conj().T - eye(n))
-    if recomputed > 10 * tol:
-        return f"trial {t}: certificate residual {recomputed:.2e}"
-    if abs(recomputed - res.residual) > tol:
-        return f"trial {t}: stored residual disagrees with recomputation"
+    detail = _certificate_fault(frame, tol)
+    if detail is not None:
+        return f"trial {t}: {detail}"
 
 
 def _check_witness_soundness(rng, t, tol):

@@ -269,6 +269,105 @@ class TestWitnessSoundness:
             solve_scaling(frame)
 
 
+def _orthant_frame(rng, n, k):
+    # every off-diagonal entry of sum x_i f_i f_i* is positive for x >= 0
+    return Frame(rng.uniform(0.1, 1.0, size=(n, k)))
+
+
+def _cap_frame(rng, n, k):
+    # |f_i(1)|^2 > |f_i|^2 / n for every column: the (1,1) entry of
+    # sum x_i f_i f_i* = I would exceed its share of the trace
+    rest = rng.standard_normal((n - 1, k))
+    radius = np.sqrt(rng.uniform(0.2, 0.8, size=k) * (n - 1))
+    return Frame(np.vstack([rng.choice([-1.0, 1.0], size=k),
+                            rest / np.linalg.norm(rest, axis=0) * radius]))
+
+
+class TestClosedForm:
+    @staticmethod
+    def _both(frame):
+        aeq, beq = _scaling_system(frame.matrix)
+        return (scalability._closed_form(aeq, beq, frame.matrix, DEFAULT_TOL),
+                nonneg_feasible(aeq, beq))
+
+    def test_agrees_with_the_lp_on_the_ladder(self):
+        decided = 0
+        for n in (6, 8, 10, 12, 16, 20):
+            for s in range(20):
+                rng = np.random.default_rng(1000 * n + s)
+                frame, _ = random_scalable_frame(rng, n, int(rng.integers(2 * n, 5 * n)))
+                fast, lp = self._both(frame)
+                if fast is None:
+                    continue
+                decided += 1
+                assert isinstance(fast, ScalingCertificate) and isinstance(lp, Feasible)
+                assert fast.margin == pytest.approx(lp.margin, abs=1e-9), (n, s)
+                assert np.allclose(fast.squares, lp.x, rtol=0.0, atol=1e-9), (n, s)
+        # every draw with k <= n(n+1)/2 has independent operators f_i f_i*
+        assert decided >= 100
+
+    def test_agrees_with_the_lp_on_orthant_and_cap_frames(self, rng):
+        # k <= n(n+1)/2 throughout, so generic draws have a nonsingular K
+        for n in range(3, 17):
+            for k in (n, n + 1, n + 3):
+                for frame in (_orthant_frame(rng, n, k), _cap_frame(rng, n, k)):
+                    fast, lp = self._both(frame)
+                    assert isinstance(fast, InfeasibleWitness), (n, k)
+                    assert isinstance(lp, InfeasibleWitness), (n, k)
+                    assert fast.gap > DEFAULT_TOL and fast.max_violation <= DEFAULT_TOL
+
+    def test_rank_deficient_system_is_left_to_the_lp(self):
+        # an orthonormal basis counted twice: K is singular
+        frame = Frame(np.hstack([np.eye(3), np.eye(3)]))
+        assert self._both(frame)[0] is None
+        assert solve_scaling(frame).margin == pytest.approx(0.5, abs=1e-9)
+
+    def test_answers_without_the_lp(self, rng, monkeypatch):
+        from dynframe import numkernel
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(numkernel, "linprog", no_lp)
+        scalable, _ = random_scalable_frame(rng, 4, 7)
+        cert = solve_scaling(scalable)
+        assert isinstance(cert, ScalingCertificate) and cert.residual <= DEFAULT_TOL
+        assert gramian_scaling_check(scalable)[2]
+        orthant = _orthant_frame(rng, 4, 5)
+        assert isinstance(solve_scaling(orthant), InfeasibleWitness)
+        assert not gramian_scaling_check(orthant)[2]
+
+    def test_basis_plus_generic_vector_is_certified(self, rng):
+        # x is unique and its last entry is exactly 0, so the computed one
+        # is rounding noise of either sign; a witness built from a
+        # rounding-negative entry has a gap near 1e-17 and must not pass
+        for n in range(2, 7):
+            for _ in range(10):
+                extra = rng.standard_normal(n)
+                frame = Frame(np.column_stack([random_unitary(rng, n), extra]))
+                res = solve_scaling(frame)
+                assert isinstance(res, ScalingCertificate), n
+                assert not res.strict and res.squares[-1] == pytest.approx(0.0, abs=1e-9)
+                assert gramian_scaling_check(frame)[2]
+
+    def test_badly_scaled_one_vector_orbit(self):
+        # `dynframe verify --seed 5`, one-vector trial 4: the orbit of a
+        # generator of norm 0.70 under this diagonal, L = 6.  The columns
+        # shrink like 0.59^j; K on raw columns has lambda_min / lambda_max
+        # near 7e-11 (HiGHS ends with status 4), on unit columns 2.8e-5
+        a = np.array([0.24632192084937996, -0.4632848667316334,
+                      0.42117388617482654, 0.5926023974404884])
+        v = np.array([-0.2768069816782852, -0.5324969693418695,
+                      0.15487530218134776, 0.3182715184235088])
+        frame = iterate(DynamicalSystemSpec.single(np.diag(a), v, 6))
+        res = solve_scaling(frame)
+        assert isinstance(res, InfeasibleWitness)
+        aeq, beq = _scaling_system(frame.matrix)
+        assert scalability._sound_witness(res, aeq, 4) is res
+        assert res.gap == pytest.approx(res.y @ beq)
+        assert not gramian_scaling_check(frame)[2]
+
+
 class TestGramianOracle:
     def test_basis_gramian(self):
         gram, _, found = gramian_scaling_check(cols([1.0, 0], [0, 1.0]))
