@@ -13,10 +13,12 @@ from .errors import NotHermitian, NotNormal, NumericalFailure
 
 DEFAULT_TOL = 1e-9
 
-# Margin values saturate here when the max-min program is unbounded
-# (degenerate rays such as x1 = x2 free); real scaling problems are
-# trace-bounded and never reach it.
-MARGIN_CAP = 1e6
+# The max-min program bounds t by MARGIN_CAP * max(1, ||x_ls||_inf), with
+# x_ls the least-squares solution, so margins saturate there when the
+# program is unbounded (degenerate rays such as x1 = x2 free).  The cap is
+# relative to the system's scale so that a thin feasible cone cannot push
+# the vertex to entries far beyond it, where rounding swamps aeq x.
+MARGIN_CAP = 1e3
 
 # Singular values of [aeq | beq] below this fraction of the largest are
 # rounding noise; their directions are dropped before the LP sees them.
@@ -170,10 +172,17 @@ def linprog(c, **kwargs):
 def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
     """Solve aeq @ x = beq, x >= 0, maximizing the smallest entry of x.
 
-    Returns Feasible(x, margin) where margin is the maximized min entry
-    (capped at MARGIN_CAP on unbounded rays), or an InfeasibleWitness.
-    Callers decide strictness by comparing margin against their
-    tolerance.
+    Returns Feasible(x, margin) where margin is the maximized min entry,
+    or an InfeasibleWitness.  Callers decide strictness by comparing
+    margin against their tolerance.
+
+    The margin t is capped at MARGIN_CAP * max(1, ||x_ls||_inf), where
+    x_ls is the least-squares solution of aeq x = beq.  On a scaling
+    system the cap never binds: with c_i = |f_i|^2 >= 0, the trace row
+    sum_i c_i x_i = n holds for every exact solution, so the optimum has
+    t* sum c_i <= n while x_ls has max(x_ls) sum c_i >= n, hence
+    t* <= max(x_ls).  The oracle's row 1'x = 1 gives the same with
+    c = 1.  Only unbounded rays reach the cap.
 
     Both programs see the system projected onto an orthonormal basis Q
     of the range of [aeq | beq]: Q'aeq x = Q'beq has the same solutions
@@ -202,7 +211,9 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
     cost = np.zeros(ncols + 1)
     cost[-1] = -1.0
     a_eq = np.column_stack([a_c, a_c.sum(axis=1)])
-    bounds = [(0.0, None)] * ncols + [(0.0, MARGIN_CAP)]
+    x_ls = np.linalg.lstsq(a_c, b_c, rcond=None)[0]
+    cap = MARGIN_CAP * max(1.0, float(np.max(np.abs(x_ls))))
+    bounds = [(0.0, None)] * ncols + [(0.0, cap)]
     res = linprog(cost, A_eq=a_eq, b_eq=b_c, bounds=bounds, method="highs",
                   options=_LP_OPTIONS)
 

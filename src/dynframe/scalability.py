@@ -3,17 +3,22 @@
 The scaling question sum_i x_i f_i f_i* = I, x = w^2 >= 0, is decided by
 three routes:
 
-* the closed form (_closed_form): when the k operators f_i f_i* are
-  linearly independent, K x = c with K = |F*F|^2 (entrywise) and
-  c_i = |f_i|^2 has the only candidate solution, and the Farkas
-  alternative comes in closed form too;
+* the closed form (_closed_form), wherever the answer is forced: when
+  the k operators f_i f_i* are linearly independent, K x = c with
+  K = |F*F|^2 (entrywise) and c_i = |f_i|^2 has the only candidate
+  solution, and the Farkas alternative comes in closed form too; when
+  they are independent once parallel columns (a repeated orbit vector,
+  up to a phase) are merged, the group totals are forced instead; and
+  a tight frame is scaled by uniform weights, which the trace row makes
+  the max-min point;
 * the max-min LP (numkernel.nonneg_feasible) on the range of the
-  equality system, for rank-deficient systems and anything the closed
-  form leaves undecided.  Both routes return a certificate checked on
-  the raw columns or a witness that clears _sound_witness;
+  equality system, for anything the closed form leaves undecided.  Both
+  routes return a certificate checked on the raw columns or a witness
+  that clears _sound_witness;
 * the diagram-vector Gramian test on the unit-normalized frame (oracle),
-  built apart from K: it decides by its null dimension, with an LP only
-  when that dimension is 2 or more.
+  built apart from K: it decides by its null dimension, and from null
+  dimension 2 on by the projection of (|f_i|^2) onto the null space,
+  with an LP only when that projection has a negative entry.
 
 The agreement of the solver and the oracle is a checked invariant,
 never assumed.
@@ -34,6 +39,11 @@ from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, as_vector, fro
 # needs K invertible; its answers are checked on the raw columns anyway,
 # so the cutoff only has to keep x = K^-1 1 meaningful.
 _K_RCOND = 1e-10
+
+# Unit columns with |<u_i, u_j>|^2 >= 1 - _PARALLEL_GAP share one operator
+# u u* for _closed_form's merged route.  Such a pair alone puts an
+# eigenvalue of K at or below _PARALLEL_GAP, so K fails the rank test.
+_PARALLEL_GAP = _K_RCOND
 
 
 @dataclass(frozen=True)
@@ -202,56 +212,104 @@ def _checked_witness(y, aeq, beq, n: int, tol: float):
         return None
 
 
-def _closed_form(aeq, beq, columns, tol: float):
-    """Decide the scaling system without an LP when its solution is forced.
+def _certificate(x, residual, margin, tol):
+    return ScalingCertificate(weights=np.sqrt(x), squares=x, tight_constant=1.0,
+                              residual=residual, strict=margin > tol, margin=margin)
 
-    With u_i = f_i / |f_i| and K = |U*U|^2 (entrywise), K is the Gramian
-    of the operators u_i u_i* in the trace inner product.  When it is
-    nonsingular, sum_i x_i f_i f_i* = I has at most one solution,
-    x = (K^-1 1) / |f_i|^2, so the max-min LP could only find that point:
-    x >= 0 with a small residual is a certificate with margin min x.
-    Otherwise the Farkas alternative comes in closed form.  For x_j < 0,
-    z = K^-1 e_j / |f|^2 gives y = -W aeq z with y'aeq = -e_j' and
-    y'beq = -x_j > 0 (up to the positive factor |f_j|^2); W weights the
-    diagonal rows by 1 and the pair rows by 2, so that y' aeq_i is the
-    trace inner product of Y with f_i f_i*.  A large residual gives
-    y = W (beq - aeq x), with y'aeq = 0 and y'beq = ||I - sum x_i f_i f_i*||^2.
 
-    Returns a certificate, a witness that passes the checks of
-    _checked_witness, or None, which means "run the LP": when some column
-    is zero, when k exceeds the row count of aeq, when K is numerically
-    singular, and when a witness does not check.
-    """
-    n, k = columns.shape
-    norms = np.sum(np.abs(columns) ** 2, axis=0)
-    if k > aeq.shape[0] or not np.all(norms > 0):
-        return None
-    unit = columns / np.sqrt(norms)
+def _eigh_if_nonsingular(gram):
+    """(lam, vecs) of eigh(gram) when gram passes the _K_RCOND rank test,
+    else None."""
     try:
-        lam, vecs = np.linalg.eigh(np.abs(unit.conj().T @ unit) ** 2)
+        lam, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:
         return None
-    if not lam[0] > _K_RCOND * lam[-1]:
-        return None
+    return (lam, vecs) if lam[0] > _K_RCOND * lam[-1] else None
+
+
+def _forced(eig, group, mass, aeq, beq, columns, tol):
+    """Decide the system from the unique solution X = K_h^-1 1 over groups.
+
+    eig is the eigendecomposition of K_h, the K of one head column per
+    group; group[i] is the group of column i and mass[g] the sum of
+    |f_i|^2 over group g.  Each solution has sum_{i in g} |f_i|^2 x_i = X_g,
+    so x_i = X_g / mass[g] is the max-min point.  For X_g < 0,
+    z_i = (K_h^-1 e_g)_{group i} / mass gives y = -W aeq z with
+    y'aeq = -e_g' on the group's operator and y'beq = -X_g > 0; W weights
+    the diagonal rows by 1 and the pair rows by 2, so that y' aeq_i is the
+    trace inner product of Y with f_i f_i*.  A large residual gives
+    y = W (beq - aeq x), with y'aeq = 0 and y'beq = ||I - sum x_i f_i f_i*||^2.
+    """
+    lam, vecs = eig
+    n = columns.shape[0]
     unit_x = vecs @ (vecs.sum(axis=0) / lam)
-    x = unit_x / norms
+    x = unit_x[group] / mass[group]
     residual = scaling_residual(columns, x)
     if x.min() >= 0 and residual <= tol:
-        margin = float(x.min())
-        return ScalingCertificate(weights=np.sqrt(x), squares=x, tight_constant=1.0,
-                                  residual=residual, strict=margin > tol, margin=margin)
+        return _certificate(x, residual, float(x.min()), tol)
     w = np.ones(aeq.shape[0])
     w[n:] = 2.0
     candidates = []
     if x.min() < 0:
-        z = vecs @ (vecs[int(np.argmin(unit_x))] / lam) / norms
-        candidates.append(-w * (aeq @ z))
+        z = vecs @ (vecs[int(np.argmin(unit_x))] / lam)
+        candidates.append(-w * (aeq @ (z[group] / mass[group])))
     if residual > tol:
         candidates.append(w * (beq - aeq @ x))
     for y in candidates:
         witness = _checked_witness(y, aeq, beq, n, tol)
         if witness is not None:
             return witness
+    return None
+
+
+def _closed_form(aeq, beq, columns, tol):
+    """Decide the scaling system without an LP when its solution is forced.
+
+    With u_i = f_i / |f_i| and K = |U*U|^2 (entrywise), K is the Gramian
+    of the operators u_i u_i* in the trace inner product.  Three forced
+    answers are tried in turn:
+
+    * K nonsingular: sum_i x_i f_i f_i* = I has at most one solution,
+      x = (K^-1 1) / |f_i|^2, so the max-min LP could only find that
+      point; a negative entry or a large residual gives the Farkas
+      witness in closed form (_forced).
+    * merged orbit: columns with K_ij >= 1 - _PARALLEL_GAP (u_j = e^{it} u_i,
+      as when an orbit repeats) share one operator, so they form one
+      group.  When the K of one head column per group is nonsingular,
+      the group totals X = K_h^-1 1 are forced, and uniform weights inside
+      each group are the max-min point (_forced).
+    * uniform weights x = (n / sum_i |f_i|^2) 1: if they scale the frame
+      (it is tight), they are the max-min point, because the trace row
+      sum_i |f_i|^2 x_i = n caps min x at n / sum_i |f_i|^2.
+
+    Returns a certificate checked on the raw columns, a witness that
+    passes the checks of _checked_witness, or None, which means "run the
+    LP": when some column is zero, when no route applies, and when a
+    witness does not check.  The last two routes run only when K fails
+    the rank test or k exceeds the row count of aeq.
+    """
+    n, k = columns.shape
+    norms = np.sum(np.abs(columns) ** 2, axis=0)
+    if not np.all(norms > 0):
+        return None
+    unit = columns / np.sqrt(norms)
+    gram = np.abs(unit.conj().T @ unit) ** 2
+    eig = _eigh_if_nonsingular(gram) if k <= aeq.shape[0] else None
+    if eig is not None:
+        return _forced(eig, np.arange(k), norms, aeq, beq, columns, tol)
+    heads, group = np.unique(np.argmax(gram >= 1.0 - _PARALLEL_GAP, axis=1),
+                             return_inverse=True)
+    if heads.size < k and heads.size <= aeq.shape[0]:
+        eig = _eigh_if_nonsingular(gram[np.ix_(heads, heads)])
+        if eig is not None:
+            merged = _forced(eig, group, np.bincount(group, weights=norms),
+                             aeq, beq, columns, tol)
+            if merged is not None:
+                return merged
+    x = np.full(k, n / norms.sum())
+    residual = scaling_residual(columns, x)
+    if residual <= tol:
+        return _certificate(x, residual, float(x[0]), tol)
     return None
 
 
@@ -274,9 +332,7 @@ def _solve(aeq, beq, columns, tol: float):
     if residual > tol:
         raise NumericalFailure(
             f"scaling residual {residual:.3e} exceeds tolerance {tol:.1e}")
-    return ScalingCertificate(weights=np.sqrt(x), squares=x, tight_constant=1.0,
-                              residual=residual, strict=res.margin > tol,
-                              margin=res.margin)
+    return _certificate(x, residual, res.margin, tol)
 
 
 def solve_scaling(frame: Frame, tol: float = DEFAULT_TOL):
@@ -286,8 +342,11 @@ def solve_scaling(frame: Frame, tol: float = DEFAULT_TOL):
     strict flag on the certificate records margin > tol.  Routes: when
     K = |F*F|^2 is nonsingular the solution x = K^-1 c is unique, so a
     nonnegative one is the certificate and a negative entry or a large
-    residual gives the witness in closed form; otherwise, or when that
-    witness does not check, the max-min LP decides.  The Gramian oracle
+    residual gives the witness in closed form.  When K is singular, the
+    same holds for the group totals once parallel columns are merged
+    (repeated orbit vectors), and a tight frame is certified by uniform
+    weights.  Otherwise, or when a witness does not check, the max-min LP
+    decides.  The Gramian oracle
     (gramian_scaling_check) is the third, independent route.  A witness
     is returned only when its gap clears the soundness bound of the trace
     row; any other infeasibility report raises NumericalFailure
@@ -304,8 +363,13 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     Returns (Gramian of the diagram vectors, orthonormal basis of its
     null space, whether a nonnegative nonzero null vector exists).  The
     null dimension d decides the route: d = 0 leaves no such vector, d = 1
-    decides by the signs of the single null vector, and d >= 2 solves
-    [G; 1'] x = (0, 1), x >= 0 with nonneg_feasible.
+    decides by the signs of the single null vector.  At d >= 2 the
+    candidate is v = N N' c with c_i = |f_i|^2 taken from the raw columns,
+    the projection onto the null space of the weights that make a tight
+    frame Parseval (c itself is a null vector then, as are the group
+    masses of a repeated orbit): v >= -tol max|v| with ||v|| > tol ||c||
+    answers "found".  Otherwise nonneg_feasible solves [G; 1'] x = (0, 1),
+    x >= 0.
     """
     unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)
     diag = _diagram_columns(unit)
@@ -322,6 +386,11 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
         v = null_basis[:, 0]
         v = v * np.sign(v[np.argmax(np.abs(v))])
         return gram, null_basis, bool(v.min() >= -tol)
+
+    c = np.sum(np.abs(frame.matrix) ** 2, axis=0)
+    v = null_basis @ (null_basis.T @ c)
+    if v.min() >= -tol * np.max(np.abs(v)) and np.linalg.norm(v) > tol * np.linalg.norm(c):
+        return gram, null_basis, True
 
     sys_matrix = np.vstack([gram, np.ones((1, k))])
     sys_rhs = np.concatenate([np.zeros(k), [1.0]])

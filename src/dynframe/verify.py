@@ -210,13 +210,18 @@ def _check_transport_report(rng, t, tol):
         return f"trial {t}: invertible transport changed the frame property"
 
 
-def _ladder(frame_check, tol):
-    """frame_check on the size ladder: the first failure's detail, or None.
+def _fixed_frames(frame_check, tol, refuted=False):
+    """frame_check on fixed frames: the first failure's detail, or None.
 
-    Draw (n, s) for n in {6, 8, 10, 12, 16, 20} and s < 20 is
-    rng = default_rng(1000 n + s), k = rng.integers(2n, 5n),
+    First the size ladder: draw (n, s) for n in {6, 8, 10, 12, 16, 20}
+    and s < 20 is rng = default_rng(1000 n + s), k = rng.integers(2n, 5n),
     random_scalable_frame(rng, n, k): sizes the per-trial draws (n <= 4)
-    never reach.
+    never reach.  Then frames whose K = |U*U|^2 is singular and whose
+    answer is forced (scalability._closed_form's merged and uniform
+    routes): harmonic frames, shift-companion orbits that repeat e1 or
+    e1 and e2, and the tight frame [sqrt(2) e1, e2, e2] of unequal norms.
+    With refuted, the frame [e1, -e1, (e1 + e2)/sqrt(2)] follows, which
+    cannot be scaled.
     """
     for n in (6, 8, 10, 12, 16, 20):
         for s in range(20):
@@ -225,6 +230,22 @@ def _ladder(frame_check, tol):
             detail = frame_check(frame, tol)
             if detail is not None:
                 return f"ladder (n={n}, s={s}): {detail}"
+    forced = [(f"harmonic ({n}, {k})", iterate(cons.harmonic(n, k)))
+              for n, k in ((3, 7), (8, 16), (24, 96))]
+    for n in (3, 5):
+        shift = cons.companion(eye(n)[0])
+        forced += [(f"companion (n={n}, L={l})",
+                    iterate(DynamicalSystemSpec.single(shift, eye(n)[0], l)))
+                   for l in (n, n + 1)]
+    forced.append(("unequal-norm tight", Frame(np.array([[2 ** 0.5, 0.0, 0.0],
+                                                          [0.0, 1.0, 1.0]]))))
+    if refuted:
+        forced.append(("merged witness", Frame(np.array([[1.0, -1.0, 2 ** -0.5],
+                                                          [0.0, 0.0, 2 ** -0.5]]))))
+    for name, frame in forced:
+        detail = frame_check(frame, tol)
+        if detail is not None:
+            return f"{name}: {detail}"
 
 
 def _oracle_disagreement(frame, tol):
@@ -238,7 +259,7 @@ def _oracle_disagreement(frame, tol):
 
 def _check_diagram_oracle(rng, t, tol):
     if t == 0:
-        detail = _ladder(_oracle_disagreement, tol)
+        detail = _fixed_frames(_oracle_disagreement, tol, refuted=True)
         if detail is not None:
             return detail
     n = int(rng.integers(2, 5))
@@ -267,7 +288,7 @@ def _certificate_fault(frame, tol):
 
 def _check_certificate_soundness(rng, t, tol):
     if t == 0:
-        detail = _ladder(_certificate_fault, tol)
+        detail = _fixed_frames(_certificate_fault, tol)
         if detail is not None:
             return detail
     n = int(rng.integers(2, 5))

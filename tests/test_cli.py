@@ -78,16 +78,32 @@ class TestPipeline:
     def test_help_exits_clean(self, capsys):
         assert run(capsys, "--help")[0] == 0
 
-    def test_import_loads_no_scipy(self):
-        # scipy is imported only by the LP and the Schur branch, on first use
-        code = ("import sys, dynframe.cli; "
+    @staticmethod
+    def _scipy_modules_after(statement):
+        # a fresh interpreter runs statement, then lists the scipy modules
+        code = (f"import sys, dynframe.cli; {statement}; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         src = os.path.dirname(os.path.dirname(dynframe.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        assert out.strip() == "[]"
+        return out.strip().splitlines()[-1]
+
+    def test_import_loads_no_scipy(self):
+        # scipy is imported only by the LP and the Schur branch, on first use
+        assert self._scipy_modules_after("pass") == "[]"
+
+    def test_scale_of_a_tight_frame_loads_no_scipy(self, tmp_path, capsys):
+        # the harmonic 3x7 frame of the README is decided by uniform weights
+        # and the oracle's null-space candidate, so no LP runs
+        sys_path, frame_path = str(tmp_path / "sys.json"), str(tmp_path / "frame.json")
+        assert run(capsys, "construct", "harmonic", "--n", 3, "--k", 7,
+                   "--out", sys_path)[0] == 0
+        assert run(capsys, "gen", sys_path, "--out", frame_path)[0] == 0
+        scale = (f"assert dynframe.cli.main(['scale', {frame_path!r}, '--out', "
+                 f"{str(tmp_path / 'cert.json')!r}]) == 0")
+        assert self._scipy_modules_after(scale) == "[]"
 
 
 def _system_dict():

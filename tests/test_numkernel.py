@@ -151,6 +151,18 @@ class TestNonnegFeasible:
         assert np.all(res.x >= 0.0)
         assert np.linalg.norm(a @ res.x - a @ x0) <= 1e-7 * max(1.0, np.linalg.norm(a @ x0))
 
+    def test_thin_cone_stays_accurate(self):
+        # a draw of the shapes above whose max-min program is unbounded:
+        # an absolute cap on t let the vertex reach entries where rounding
+        # left a residual of 1.2e-6; the cap relative to x_ls keeps it small
+        rng = np.random.default_rng([8139, 7])
+        a = rng.standard_normal((4, 6))
+        x0 = rng.uniform(0.2, 1.5, size=6)
+        res = nonneg_feasible(a, a @ x0)
+        assert isinstance(res, Feasible)
+        assert np.all(res.x >= 0.0)
+        assert np.linalg.norm(a @ res.x - a @ x0) <= 1e-7 * max(1.0, np.linalg.norm(a @ x0))
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))
     def test_witness_inequalities(self, cols, seed):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynframe import constructions as cons
 from dynframe import scalability
 from dynframe.dynamics import DynamicalSystemSpec, iterate
 from dynframe.errors import NotNormal, NumericalFailure, TemplateMismatch, ZeroVector
@@ -317,10 +318,88 @@ class TestClosedForm:
                     assert fast.gap > DEFAULT_TOL and fast.max_violation <= DEFAULT_TOL
 
     def test_rank_deficient_system_is_left_to_the_lp(self):
-        # an orthonormal basis counted twice: K is singular
+        # the ladder draw (6, 0): 25 operators in a 21-dimensional space,
+        # no two columns parallel and the frame not tight, so K stays
+        # singular after merging and uniform weights do not scale it
+        rng = np.random.default_rng(6000)
+        frame, _ = random_scalable_frame(rng, 6, int(rng.integers(12, 30)))
+        fast, lp = self._both(frame)
+        assert fast is None
+        assert solve_scaling(frame).margin == pytest.approx(lp.margin, abs=1e-9)
+
+    @staticmethod
+    def _pinned(frame, monkeypatch):
+        # the answer without linprog, against the LP's verdict and margin
+        from dynframe import numkernel
+
+        aeq, beq = _scaling_system(frame.matrix)
+        lp = nonneg_feasible(aeq, beq)
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(numkernel, "linprog", no_lp)
+            res = solve_scaling(frame)
+        if isinstance(lp, Feasible):
+            assert isinstance(res, ScalingCertificate)
+            assert res.margin == pytest.approx(lp.margin, abs=1e-9)
+            assert res.residual <= DEFAULT_TOL
+        else:
+            assert isinstance(res, InfeasibleWitness)
+            assert scalability._sound_witness(res, aeq, frame.dim) is res
+        return res
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_repeated_companion_orbit(self, n, monkeypatch):
+        # the cyclic shift repeats e1 at L = n, and e1, e2 at L = n + 1
+        shift = np.roll(np.eye(n), 1, axis=0)
+        for l in (n, n + 1):
+            frame = iterate(DynamicalSystemSpec.single(shift, np.eye(n)[0], l))
+            assert self._pinned(frame, monkeypatch).margin == pytest.approx(0.5)
+
+    def test_basis_counted_twice(self, monkeypatch):
         frame = Frame(np.hstack([np.eye(3), np.eye(3)]))
-        assert self._both(frame)[0] is None
-        assert solve_scaling(frame).margin == pytest.approx(0.5, abs=1e-9)
+        assert self._pinned(frame, monkeypatch).margin == pytest.approx(0.5)
+
+    def test_column_repeated_up_to_a_phase(self, rng, monkeypatch):
+        u = random_unitary(rng, 3, field="complex")
+        frame = Frame(np.column_stack([u, -u[:, 0], np.exp(0.7j) * u[:, 1]]))
+        cert = self._pinned(frame, monkeypatch)
+        assert np.allclose(cert.squares, [0.5, 0.5, 1.0, 0.5, 0.5], atol=1e-9)
+
+    @pytest.mark.parametrize("n, k", [(3, 7), (24, 96)])
+    def test_harmonic_frame(self, n, k, monkeypatch):
+        frame = iterate(cons.harmonic(n, k))
+        cert = self._pinned(frame, monkeypatch)
+        assert np.allclose(cert.squares, 1.0, atol=1e-9)
+
+    def test_tight_frame_with_unequal_norms(self, monkeypatch):
+        frame = cols([2 ** 0.5, 0.0], [0.0, 1.0], [0.0, 1.0])
+        assert self._pinned(frame, monkeypatch).margin == pytest.approx(0.5)
+
+    def test_tight_frame_without_repeats(self, rng, monkeypatch):
+        # Parseval and more columns than operators, so only the uniform
+        # candidate applies: it must scale the frame after a rescaling
+        frame = Frame(3.0 * random_parseval(rng, 3, 8).matrix)
+        assert self._pinned(frame, monkeypatch).margin == pytest.approx(1 / 9)
+
+    def test_merged_witness(self, monkeypatch):
+        frame = cols([1.0, 0.0], [-1.0, 0.0], [2 ** -0.5, 2 ** -0.5])
+        res = self._pinned(frame, monkeypatch)
+        assert res.gap > DEFAULT_TOL and res.max_violation <= DEFAULT_TOL
+
+    def test_oracle_null_space_candidate(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("nonneg_feasible called")
+
+        monkeypatch.setattr(scalability, "nonneg_feasible", no_lp)
+        shift = np.roll(np.eye(4), 1, axis=0)
+        for frame in (iterate(cons.harmonic(3, 7)), iterate(cons.harmonic(6, 12)),
+                      Frame(np.hstack([np.eye(3), np.eye(3)])),
+                      iterate(DynamicalSystemSpec.single(shift, np.eye(4)[0], 5))):
+            _, null_basis, found = gramian_scaling_check(frame)
+            assert null_basis.shape[1] >= 2 and found
 
     def test_answers_without_the_lp(self, rng, monkeypatch):
         from dynframe import numkernel
