@@ -37,13 +37,11 @@ from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, as_vector, fro
 # Eigenvalues of the unit-column K = |U*U|^2 at or below this fraction of
 # its largest make _closed_form leave the system to the LP.  The fast path
 # needs K invertible; its answers are checked on the raw columns anyway,
-# so the cutoff only has to keep x = K^-1 1 meaningful.
+# so the cutoff only has to keep x = K^-1 1 meaningful.  It is also the
+# gap for parallel columns: unit columns with |<u_i, u_j>|^2 >= 1 - _K_RCOND
+# share one operator u u*, and such a pair alone puts an eigenvalue of K
+# at or below _K_RCOND, so a K that passes the rank test merges nothing.
 _K_RCOND = 1e-10
-
-# Unit columns with |<u_i, u_j>|^2 >= 1 - _PARALLEL_GAP share one operator
-# u u* for _closed_form's merged route.  Such a pair alone puts an
-# eigenvalue of K at or below _PARALLEL_GAP, so K fails the rank test.
-_PARALLEL_GAP = _K_RCOND
 
 
 @dataclass(frozen=True)
@@ -262,22 +260,53 @@ def _forced(eig, group, mass, aeq, beq, columns, tol):
     return None
 
 
+def _parallel_groups(unit, rows: int):
+    """Merge the unit columns that are equal up to a phase.
+
+    Returns (group, K_h): group[i] numbers the group of column i in the
+    order of the groups' first columns, and K_h is K = |U*U|^2 on those
+    first columns, or None when more than rows groups remain.  For
+    k <= rows, columns i and j are merged when K_ij >= 1 - _K_RCOND.
+    Beyond that no k x k matrix is built: each column is turned by the
+    phase of its first entry of at least half its largest modulus, and
+    columns whose real coordinates round to the same multiples of
+    sqrt(_K_RCOND / 2n) are merged; two such columns lie within
+    sqrt(_K_RCOND) of each other, so they too have K_ij >= 1 - _K_RCOND.
+    """
+    n, k = unit.shape
+    if k <= rows:
+        gram = np.abs(unit.conj().T @ unit) ** 2
+        heads, group = np.unique(np.argmax(gram >= 1.0 - _K_RCOND, axis=1),
+                                 return_inverse=True)
+        return group, gram[np.ix_(heads, heads)]
+    mod = np.abs(unit)
+    pivot = unit[np.argmax(mod >= 0.5 * mod.max(axis=0), axis=0), np.arange(k)]
+    turned = np.ascontiguousarray((unit * (np.abs(pivot) / pivot)).T)
+    keys = np.round(turned.view(float) / np.sqrt(_K_RCOND / (2 * n)))
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    group = np.argsort(order)[inverse.ravel()]
+    if order.size > rows:
+        return group, None
+    head = unit[:, first[order]]
+    return group, np.abs(head.conj().T @ head) ** 2
+
+
 def _closed_form(aeq, beq, columns, tol):
     """Decide the scaling system without an LP when its solution is forced.
 
     With u_i = f_i / |f_i| and K = |U*U|^2 (entrywise), K is the Gramian
-    of the operators u_i u_i* in the trace inner product.  Three forced
+    of the operators u_i u_i* in the trace inner product.  Two forced
     answers are tried in turn:
 
-    * K nonsingular: sum_i x_i f_i f_i* = I has at most one solution,
-      x = (K^-1 1) / |f_i|^2, so the max-min LP could only find that
-      point; a negative entry or a large residual gives the Farkas
-      witness in closed form (_forced).
-    * merged orbit: columns with K_ij >= 1 - _PARALLEL_GAP (u_j = e^{it} u_i,
-      as when an orbit repeats) share one operator, so they form one
-      group.  When the K of one head column per group is nonsingular,
-      the group totals X = K_h^-1 1 are forced, and uniform weights inside
-      each group are the max-min point (_forced).
+    * merged orbit: parallel columns (u_j = e^{it} u_i, as when an orbit
+      repeats) share one operator, so _parallel_groups puts them in one
+      group.  When K_h, the K of one head column per group, is
+      nonsingular, the group totals X = K_h^-1 1 are forced, and uniform
+      weights inside each group are the max-min point; a negative X_g or
+      a large residual gives the Farkas witness in closed form (_forced).
+      Without parallel columns every group is one column, K_h = K, and
+      x = (K^-1 1) / |f_i|^2 is the only solution there can be.
     * uniform weights x = (n / sum_i |f_i|^2) 1: if they scale the frame
       (it is tight), they are the max-min point, because the trace row
       sum_i |f_i|^2 x_i = n caps min x at n / sum_i |f_i|^2.
@@ -285,27 +314,19 @@ def _closed_form(aeq, beq, columns, tol):
     Returns a certificate checked on the raw columns, a witness that
     passes the checks of _checked_witness, or None, which means "run the
     LP": when some column is zero, when no route applies, and when a
-    witness does not check.  The last two routes run only when K fails
-    the rank test or k exceeds the row count of aeq.
+    witness does not check.
     """
     n, k = columns.shape
     norms = np.sum(np.abs(columns) ** 2, axis=0)
     if not np.all(norms > 0):
         return None
-    unit = columns / np.sqrt(norms)
-    gram = np.abs(unit.conj().T @ unit) ** 2
-    eig = _eigh_if_nonsingular(gram) if k <= aeq.shape[0] else None
+    group, head_gram = _parallel_groups(columns / np.sqrt(norms), aeq.shape[0])
+    eig = None if head_gram is None else _eigh_if_nonsingular(head_gram)
     if eig is not None:
-        return _forced(eig, np.arange(k), norms, aeq, beq, columns, tol)
-    heads, group = np.unique(np.argmax(gram >= 1.0 - _PARALLEL_GAP, axis=1),
-                             return_inverse=True)
-    if heads.size < k and heads.size <= aeq.shape[0]:
-        eig = _eigh_if_nonsingular(gram[np.ix_(heads, heads)])
-        if eig is not None:
-            merged = _forced(eig, group, np.bincount(group, weights=norms),
-                             aeq, beq, columns, tol)
-            if merged is not None:
-                return merged
+        forced = _forced(eig, group, np.bincount(group, weights=norms),
+                         aeq, beq, columns, tol)
+        if forced is not None:
+            return forced
     x = np.full(k, n / norms.sum())
     residual = scaling_residual(columns, x)
     if residual <= tol:

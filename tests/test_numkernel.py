@@ -112,6 +112,16 @@ class TestSvdRank:
             assert np.allclose(basis.conj().T @ basis, np.eye(rank))
 
 
+def _assert_feasible_by_construction(rng, rows, cols):
+    # a @ x0 with x0 > 0 must come back feasible, to the accuracy of a @ x0
+    a = rng.standard_normal((rows, cols))
+    x0 = rng.uniform(0.2, 1.5, size=cols)
+    res = nonneg_feasible(a, a @ x0)
+    assert isinstance(res, Feasible)
+    assert np.all(res.x >= 0.0)
+    assert np.linalg.norm(a @ res.x - a @ x0) <= 1e-7 * max(1.0, np.linalg.norm(a @ x0))
+
+
 class TestNonnegFeasible:
     def test_simplex_margin(self):
         res = nonneg_feasible(np.array([[1.0, 1.0]]), np.array([1.0]))
@@ -143,25 +153,13 @@ class TestNonnegFeasible:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 4), st.integers(2, 7), st.integers(0, 2 ** 31 - 1))
     def test_feasible_by_construction(self, rows, cols, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal((rows, cols))
-        x0 = rng.uniform(0.2, 1.5, size=cols)
-        res = nonneg_feasible(a, a @ x0)
-        assert isinstance(res, Feasible)
-        assert np.all(res.x >= 0.0)
-        assert np.linalg.norm(a @ res.x - a @ x0) <= 1e-7 * max(1.0, np.linalg.norm(a @ x0))
+        _assert_feasible_by_construction(np.random.default_rng(seed), rows, cols)
 
     def test_thin_cone_stays_accurate(self):
         # a draw of the shapes above whose max-min program is unbounded:
         # an absolute cap on t let the vertex reach entries where rounding
         # left a residual of 1.2e-6; the cap relative to x_ls keeps it small
-        rng = np.random.default_rng([8139, 7])
-        a = rng.standard_normal((4, 6))
-        x0 = rng.uniform(0.2, 1.5, size=6)
-        res = nonneg_feasible(a, a @ x0)
-        assert isinstance(res, Feasible)
-        assert np.all(res.x >= 0.0)
-        assert np.linalg.norm(a @ res.x - a @ x0) <= 1e-7 * max(1.0, np.linalg.norm(a @ x0))
+        _assert_feasible_by_construction(np.random.default_rng([8139, 7]), 4, 6)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(2, 5), st.integers(0, 2 ** 31 - 1))

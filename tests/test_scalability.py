@@ -389,6 +389,26 @@ class TestClosedForm:
         res = self._pinned(frame, monkeypatch)
         assert res.gap > DEFAULT_TOL and res.max_violation <= DEFAULT_TOL
 
+    @pytest.mark.parametrize("kind", ["tight orbit", "repeated basis"])
+    def test_long_frame_builds_nothing_k_by_k(self, kind, monkeypatch):
+        # 3 x 5000: a k x k matrix of floats would take 200 MB
+        import tracemalloc
+
+        k = 5000
+        if kind == "tight orbit":
+            angle = 2 * np.pi * np.arange(k) / k
+            frame = Frame(np.vstack([np.cos(angle), np.sin(angle), np.full(k, 2 ** -0.5)]))
+        else:
+            frame = Frame(np.tile(np.eye(3), k // 3) * (-1.0) ** np.arange(k - k % 3))
+        tracemalloc.start()
+        try:
+            scalability._closed_form(*_scaling_system(frame.matrix), frame.matrix, DEFAULT_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
+        self._pinned(frame, monkeypatch)
+
     def test_oracle_null_space_candidate(self, monkeypatch):
         def no_lp(*args, **kwargs):
             raise AssertionError("nonneg_feasible called")
