@@ -276,8 +276,12 @@ def _parallel_groups(unit, rows: int):
     n, k = unit.shape
     if k <= rows:
         gram = np.abs(unit.conj().T @ unit) ** 2
-        heads, group = np.unique(np.argmax(gram >= 1.0 - _K_RCOND, axis=1),
-                                 return_inverse=True)
+        parallel = gram >= 1.0 - _K_RCOND
+        if np.count_nonzero(parallel) == k:
+            # only the diagonal: skipping np.unique and the submatrix copy
+            # keeps the common small frame at the cost it had before merging
+            return np.arange(k), gram
+        heads, group = np.unique(np.argmax(parallel, axis=1), return_inverse=True)
         return group, gram[np.ix_(heads, heads)]
     mod = np.abs(unit)
     pivot = unit[np.argmax(mod >= 0.5 * mod.max(axis=0), axis=0), np.arange(k)]
