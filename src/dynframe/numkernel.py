@@ -34,31 +34,26 @@ def field_of(arr) -> str:
     return "complex" if np.iscomplexobj(arr) else "real"
 
 
+def _frozen(data, field, ndim, kind):
+    dtype = complex if field == "complex" else (float if field == "real" else None)
+    a = np.array(data, dtype=dtype)
+    if a.ndim != ndim:
+        raise ValueError(f"expected a {kind}, got ndim={a.ndim}")
+    if a.dtype not in (np.float64, np.complex128):
+        a = a.astype(complex if np.iscomplexobj(a) else float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{kind} entries must be finite")
+    a.setflags(write=False)
+    return a
+
+
 def as_matrix(data, field=None):
     """Validate and freeze a 2-d array; entries must be finite."""
-    dtype = complex if field == "complex" else (float if field == "real" else None)
-    m = np.array(data, dtype=dtype)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if m.dtype not in (np.float64, np.complex128):
-        m = m.astype(complex if np.iscomplexobj(m) else float)
-    if not np.all(np.isfinite(m.view(float) if m.dtype == np.float64 else m)):
-        raise ValueError("matrix entries must be finite")
-    m.setflags(write=False)
-    return m
+    return _frozen(data, field, 2, "matrix")
 
 
 def as_vector(data, field=None):
-    dtype = complex if field == "complex" else (float if field == "real" else None)
-    v = np.array(data, dtype=dtype)
-    if v.ndim != 1:
-        raise ValueError(f"expected a vector, got ndim={v.ndim}")
-    if v.dtype not in (np.float64, np.complex128):
-        v = v.astype(complex if np.iscomplexobj(v) else float)
-    if not np.all(np.isfinite(v) if v.dtype == np.float64 else np.isfinite(v.real) & np.isfinite(v.imag)):
-        raise ValueError("vector entries must be finite")
-    v.setflags(write=False)
-    return v
+    return _frozen(data, field, 1, "vector")
 
 
 def inner(x, y):
@@ -152,7 +147,8 @@ class Feasible:
 
 @dataclass(frozen=True)
 class InfeasibleWitness:
-    """Farkas certificate: y with y'Aeq <= 0 componentwise and y'beq > 0."""
+    """Farkas candidate: a feasible x >= 0 would make gap = y'beq at most
+    max(max_violation, 0) sum(x), so the caller's bound on x decides a proof."""
 
     y: np.ndarray
     gap: float            # y' beq
@@ -174,7 +170,9 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
 
     Returns Feasible(x, margin) where margin is the maximized min entry,
     or an InfeasibleWitness.  Callers decide strictness by comparing
-    margin against their tolerance.
+    margin against their tolerance.  A witness has gap > tol (else
+    NumericalFailure) and a measured, untested max_violation: only the
+    caller knows the bound on x that decides whether it is a proof.
 
     The margin t is capped at MARGIN_CAP * max(1, ||x_ls||_inf), where
     x_ls is the least-squares solution of aeq x = beq.  On a scaling
@@ -236,9 +234,8 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
             raise NumericalFailure("witness program did not solve")
         y = q @ w.x
         gap = float(beq @ y)
-        viol = float(np.max(aeq.T @ y))
-        if gap <= tol or viol > tol:
+        if gap <= tol:
             raise NumericalFailure("infeasibility reported but no valid Farkas witness found")
-        return InfeasibleWitness(y=y, gap=gap, max_violation=viol)
+        return InfeasibleWitness(y=y, gap=gap, max_violation=float(np.max(aeq.T @ y)))
 
     raise NumericalFailure(f"linear program ended with status {res.status}")

@@ -14,11 +14,12 @@ three routes:
 * the max-min LP (numkernel.nonneg_feasible) on the range of the
   equality system, for anything the closed form leaves undecided.  Both
   routes return a certificate checked on the raw columns or a witness
-  that clears _sound_witness;
+  that clears _sound_witness, the bound of the trace row;
 * the diagram-vector Gramian test on the unit-normalized frame (oracle),
-  built apart from K: it decides by its null dimension, and from null
-  dimension 2 on by the projection of (|f_i|^2) onto the null space,
-  with an LP only when that projection has a negative entry.
+  built apart from K: from null dimension 1 on, the projection of
+  (|f_i|^2) onto the null space decides, with an LP from dimension 2 on
+  when it has a negative entry, whose witness must have a gap above its
+  max violation (a proof, as the row 1'x = 1 bounds x).
 
 The agreement of the solver and the oracle is a checked invariant,
 never assumed.
@@ -197,15 +198,14 @@ def _sound_witness(w: InfeasibleWitness, aeq, n: int) -> InfeasibleWitness:
 
 
 def _checked_witness(y, aeq, beq, n: int, tol: float):
-    """y scaled to max|y| = 1 as a witness, if it passes nonneg_feasible's gate
-    (gap > tol, max violation <= tol) and then _sound_witness; else None."""
+    """y scaled to max|y| = 1 as a witness, if its gap exceeds tol and it
+    passes _sound_witness; else None."""
     y = y / np.max(np.abs(y))
-    gap = float(beq @ y)
-    viol = float(np.max(y @ aeq))
-    if not (gap > tol and viol <= tol):
+    w = InfeasibleWitness(y=y, gap=float(beq @ y), max_violation=float(np.max(y @ aeq)))
+    if not w.gap > tol:
         return None
     try:
-        return _sound_witness(InfeasibleWitness(y=y, gap=gap, max_violation=viol), aeq, n)
+        return _sound_witness(w, aeq, n)
     except NumericalFailure:
         return None
 
@@ -316,7 +316,7 @@ def _closed_form(aeq, beq, columns, tol):
       sum_i |f_i|^2 x_i = n caps min x at n / sum_i |f_i|^2.
 
     Returns a certificate checked on the raw columns, a witness that
-    passes the checks of _checked_witness, or None, which means "run the
+    passes _checked_witness, or None, which means "run the
     LP": when some column is zero, when no route applies, and when a
     witness does not check.
     """
@@ -386,15 +386,17 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     Vectors are unit-normalized first (the characterization is stated
     for unit-norm frames; rescaling is absorbed into the weights).
     Returns (Gramian of the diagram vectors, orthonormal basis of its
-    null space, whether a nonnegative nonzero null vector exists).  The
-    null dimension d decides the route: d = 0 leaves no such vector, d = 1
-    decides by the signs of the single null vector.  At d >= 2 the
-    candidate is v = N N' c with c_i = |f_i|^2 taken from the raw columns,
-    the projection onto the null space of the weights that make a tight
+    null space, whether a nonnegative nonzero null vector exists).  Null
+    dimension d = 0 leaves no such vector.  For d >= 1 the candidate is
+    v = N N' c with c_i = |f_i|^2 taken from the raw columns, the
+    projection onto the null space of the weights that make a tight
     frame Parseval (c itself is a null vector then, as are the group
     masses of a repeated orbit): v >= -tol max|v| with ||v|| > tol ||c||
-    answers "found".  Otherwise nonneg_feasible solves [G; 1'] x = (0, 1),
-    x >= 0.
+    answers "found".  Else d = 1 answers "not found" (if the null vector
+    u is >= 0, v = u (u'c) is a positive multiple of it, as c > 0), and
+    d >= 2 solves [G; 1'] x = (0, 1), x >= 0 by nonneg_feasible.  As
+    1'x = 1, its witness is a proof when gap > max(max_violation, 0);
+    otherwise NumericalFailure ("undecided") is raised.
     """
     unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)
     diag = _diagram_columns(unit)
@@ -407,21 +409,21 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     null_basis = vecs[:, null_mask]
     if null_basis.shape[1] == 0:
         return gram, null_basis, False
-    if null_basis.shape[1] == 1:
-        v = null_basis[:, 0]
-        v = v * np.sign(v[np.argmax(np.abs(v))])
-        return gram, null_basis, bool(v.min() >= -tol)
 
     c = np.sum(np.abs(frame.matrix) ** 2, axis=0)
     v = null_basis @ (null_basis.T @ c)
-    if v.min() >= -tol * np.max(np.abs(v)) and np.linalg.norm(v) > tol * np.linalg.norm(c):
-        return gram, null_basis, True
+    found = bool(v.min() >= -tol * np.max(np.abs(v))
+                 and np.linalg.norm(v) > tol * np.linalg.norm(c))
+    if found or null_basis.shape[1] == 1:
+        return gram, null_basis, found
 
     sys_matrix = np.vstack([gram, np.ones((1, k))])
     sys_rhs = np.concatenate([np.zeros(k), [1.0]])
     res = nonneg_feasible(sys_matrix, sys_rhs, tol=tol)
-    found = isinstance(res, Feasible)
-    return gram, null_basis, found
+    if isinstance(res, InfeasibleWitness) and not res.gap > max(res.max_violation, 0.0):
+        raise NumericalFailure(f"undecided: witness gap {res.gap:.3e} does not exceed "
+                               f"its max violation {res.max_violation:.3e}")
+    return gram, null_basis, isinstance(res, Feasible)
 
 
 def _diagonal_columns(a, generators, unknown_index) -> np.ndarray:

@@ -269,6 +269,30 @@ class TestWitnessSoundness:
         with pytest.raises(NumericalFailure, match="undecided"):
             solve_scaling(frame)
 
+    @staticmethod
+    def _badly_scaled_draws(wanted):
+        # real n x k frames just past n(n+1)/2 columns, column norms spread
+        # over exp(-6)..exp(3); the rng is advanced, not every draw solved
+        rng = np.random.default_rng(11)
+        for d in range(max(wanted) + 1):
+            n = rng.integers(2, 5)
+            k = n * (n + 1) // 2 + rng.integers(1, 5)
+            m = rng.standard_normal((n, k)) * np.exp(rng.uniform(-6, 3, size=k))
+            if d in wanted:
+                yield d, m
+
+    def test_witness_above_the_absolute_violation_gate(self):
+        # the witness LP leaves max(y'A) near 1e-9 on these draws, above an
+        # absolute tol, while the gap clears the trace-row bound by far
+        shapes = {66: (4, 11), 280: (3, 8), 683: (4, 11)}
+        for d, m in self._badly_scaled_draws(set(shapes)):
+            assert m.shape == shapes[d]
+            frame = Frame(m)
+            res = solve_scaling(frame)
+            assert isinstance(res, InfeasibleWitness), d
+            assert scalability._sound_witness(res, _scaling_system(m)[0], frame.dim) is res
+            assert not gramian_scaling_check(frame)[2], d
+
 
 def _orthant_frame(rng, n, k):
     # every off-diagonal entry of sum x_i f_i f_i* is positive for x >= 0
@@ -389,6 +413,15 @@ class TestClosedForm:
         res = self._pinned(frame, monkeypatch)
         assert res.gap > DEFAULT_TOL and res.max_violation <= DEFAULT_TOL
 
+    def test_long_orbit_merged_past_the_row_count(self, monkeypatch):
+        # the shift orbit of e1 to L = 10: 11 columns over 6 rows, so the
+        # groups come from the rounding grid, and the frame is not tight
+        shift = np.roll(np.eye(3), 1, axis=0)
+        frame = iterate(DynamicalSystemSpec.single(shift, np.eye(3)[0], 10))
+        cert = self._pinned(frame, monkeypatch)
+        assert np.allclose(cert.squares, np.resize([1 / 4, 1 / 4, 1 / 3], 11), atol=1e-9)
+        assert cert.margin == pytest.approx(1 / 4)
+
     @pytest.mark.parametrize("kind", ["tight orbit", "repeated basis"])
     def test_long_frame_builds_nothing_k_by_k(self, kind, monkeypatch):
         # 3 x 5000: a k x k matrix of floats would take 200 MB
@@ -485,6 +518,25 @@ class TestGramianOracle:
         fr = random_parseval(rng, 3, 6)
         _, _, found = gramian_scaling_check(fr)
         assert found
+
+    def test_lp_witness_must_exceed_its_violation(self, rng, monkeypatch):
+        # a 2 x 5 orthant frame has null dimension 3 and no nonnegative null
+        # vector, so the LP decides; on its row 1'x = 1 a witness is a
+        # proof only when gap > max(max_violation, 0)
+        frame = _orthant_frame(rng, 2, 5)
+
+        def answer(gap, violation):
+            w = InfeasibleWitness(y=np.zeros(6), gap=gap, max_violation=violation)
+            monkeypatch.setattr(scalability, "nonneg_feasible", lambda *a, **kw: w)
+            return gramian_scaling_check(frame)
+
+        with pytest.raises(NumericalFailure, match="undecided"):
+            answer(1.0, 1.0)
+        with pytest.raises(NumericalFailure, match="undecided"):
+            answer(1.0, 2.0)
+        _, null_basis, found = answer(1.0, 0.5)
+        assert null_basis.shape[1] == 3 and not found
+        assert not answer(1e-3, -1.0)[2]
 
     def test_oracle_equivalence(self, rng):
         for _ in range(100):
