@@ -171,8 +171,8 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
     Returns Feasible(x, margin) where margin is the maximized min entry,
     or an InfeasibleWitness.  Callers decide strictness by comparing
     margin against their tolerance.  A witness has gap > tol (else
-    NumericalFailure) and a measured, untested max_violation: only the
-    caller knows the bound on x that decides whether it is a proof.
+    NumericalFailure) and an untested max_violation: the caller's bound on
+    x decides a proof (verify's feasibility-certificates still wants <= tol).
 
     The margin t is capped at MARGIN_CAP * max(1, ||x_ls||_inf), where
     x_ls is the least-squares solution of aeq x = beq.  On a scaling

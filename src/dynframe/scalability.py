@@ -16,10 +16,10 @@ three routes:
   routes return a certificate checked on the raw columns or a witness
   that clears _sound_witness, the bound of the trace row;
 * the diagram-vector Gramian test on the unit-normalized frame (oracle),
-  built apart from K: from null dimension 1 on, the projection of
-  (|f_i|^2) onto the null space decides, with an LP from dimension 2 on
-  when it has a negative entry, whose witness must have a gap above its
-  max violation (a proof, as the row 1'x = 1 bounds x).
+  built apart from K: null dimension 1 decides by the signs of the null
+  vector, and from 2 on the projection of (|f_i|^2) onto the null space,
+  with an LP when it has a negative entry, whose witness needs a gap
+  above its max violation (a proof, as the row 1'x = 1 bounds x).
 
 The agreement of the solver and the oracle is a checked invariant,
 never assumed.
@@ -387,16 +387,15 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     for unit-norm frames; rescaling is absorbed into the weights).
     Returns (Gramian of the diagram vectors, orthonormal basis of its
     null space, whether a nonnegative nonzero null vector exists).  Null
-    dimension d = 0 leaves no such vector.  For d >= 1 the candidate is
-    v = N N' c with c_i = |f_i|^2 taken from the raw columns, the
-    projection onto the null space of the weights that make a tight
-    frame Parseval (c itself is a null vector then, as are the group
-    masses of a repeated orbit): v >= -tol max|v| with ||v|| > tol ||c||
-    answers "found".  Else d = 1 answers "not found" (if the null vector
-    u is >= 0, v = u (u'c) is a positive multiple of it, as c > 0), and
-    d >= 2 solves [G; 1'] x = (0, 1), x >= 0 by nonneg_feasible.  As
-    1'x = 1, its witness is a proof when gap > max(max_violation, 0);
-    otherwise NumericalFailure ("undecided") is raised.
+    dimension d = 0 leaves no such vector; d = 1 decides by the signs of
+    the unit null vector, which no column norm enters.  At d >= 2 the
+    candidate is v = N N' c with c_i = |f_i|^2 from the raw columns, the
+    projection onto the null space of the weights that make a tight frame
+    Parseval (c itself is a null vector then, as are the group masses of
+    a repeated orbit): v >= -tol max|v| with ||v|| > tol ||c|| answers
+    "found".  Else nonneg_feasible solves [G; 1'] x = (0, 1), x >= 0; as
+    1'x = 1, its witness is a proof when gap > max(max_violation, 0), and
+    NumericalFailure ("undecided") is raised otherwise.
     """
     unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)
     diag = _diagram_columns(unit)
@@ -409,13 +408,14 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     null_basis = vecs[:, null_mask]
     if null_basis.shape[1] == 0:
         return gram, null_basis, False
+    if null_basis.shape[1] == 1:
+        u = null_basis[:, 0]
+        return gram, null_basis, bool(np.min(u * np.sign(u[np.argmax(np.abs(u))])) >= -tol)
 
     c = np.sum(np.abs(frame.matrix) ** 2, axis=0)
     v = null_basis @ (null_basis.T @ c)
-    found = bool(v.min() >= -tol * np.max(np.abs(v))
-                 and np.linalg.norm(v) > tol * np.linalg.norm(c))
-    if found or null_basis.shape[1] == 1:
-        return gram, null_basis, found
+    if v.min() >= -tol * np.max(np.abs(v)) and np.linalg.norm(v) > tol * np.linalg.norm(c):
+        return gram, null_basis, True
 
     sys_matrix = np.vstack([gram, np.ones((1, k))])
     sys_rhs = np.concatenate([np.zeros(k), [1.0]])

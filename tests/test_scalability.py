@@ -519,6 +519,17 @@ class TestGramianOracle:
         _, _, found = gramian_scaling_check(fr)
         assert found
 
+    def test_null_vector_on_short_columns(self):
+        # the one null vector sits on the unit-norm columns, so c = |f_i|^2
+        # projects onto it with |u'c| ~ 1e-10 ||c||; the column norms must
+        # not enter the d = 1 verdict
+        big = 1e5 / np.sqrt(2)
+        fr = cols([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [big, big, 0], [big, 0, big])
+        _, null_basis, found = gramian_scaling_check(fr)
+        assert null_basis.shape[1] == 1
+        assert found
+        assert isinstance(solve_scaling(fr), ScalingCertificate)
+
     def test_lp_witness_must_exceed_its_violation(self, rng, monkeypatch):
         # a 2 x 5 orthant frame has null dimension 3 and no nonnegative null
         # vector, so the LP decides; on its row 1'x = 1 a witness is a
