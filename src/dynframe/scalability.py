@@ -410,7 +410,7 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
         return gram, null_basis, False
     if null_basis.shape[1] == 1:
         u = null_basis[:, 0]
-        return gram, null_basis, bool(np.min(u * np.sign(u[np.argmax(np.abs(u))])) >= -tol)
+        return gram, null_basis, bool(u.min() >= -tol or u.max() <= tol)
 
     c = np.sum(np.abs(frame.matrix) ** 2, axis=0)
     v = null_basis @ (null_basis.T @ c)
