@@ -7,17 +7,23 @@ L) triples; iterating produces the frame candidate
 
 Powers are built by repeated multiplication so non-diagonalizable
 operators are handled the same way as normal ones.
+
+The canonical dual of the iterated frame is iterated too: B_s^j g_s =
+S^-1 A_s^j f_s with B_s = S^-1 A_s S and g_s = S^-1 f_s, where S = F F*
+is the frame operator (dynamical_dual builds this system).  Recovering
+f from its samples needs only the dual's synthesis S^-1 F, so
+reconstruct makes one solve with S instead of iterating the dual.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import (DimensionMismatch, IndexMismatch, NotAFrame, NumericalFailure,
                      SingularTransport, ZeroVector)
-from .frames import Frame, analyze, canonical_dual, frame_operator
-from .numkernel import DEFAULT_TOL, as_matrix, as_vector, fro, inner, unitary_diagonalize
+from .frames import Frame, analyze, frame_operator
+from .numkernel import DEFAULT_TOL, as_matrix, as_vector, fro, unitary_diagonalize
 
 
 @dataclass(frozen=True)
@@ -101,16 +107,25 @@ class TransportResult:
     unitary: bool            # scalability status transfers iff this holds
 
 
+def _orbits(operators, generators, triples) -> np.ndarray:
+    """Columns A_s^j f_g, j = 0..L, for each (s, g, L) in order, in one n x k array."""
+    used = [generators[g] for _, g, _ in triples]
+    used += [operators[s] for s, _, l in triples if l > 0]
+    out = np.empty((used[0].shape[0], sum(l + 1 for _, _, l in triples)),
+                   dtype=np.result_type(*used))
+    col = 0
+    for s, g, l in triples:
+        a = operators[s]
+        v = out[:, col] = generators[g]
+        for j in range(col + 1, col + l + 1):
+            v = out[:, j] = a @ v
+        col += l + 1
+    return out
+
+
 def iterate_columns(spec: DynamicalSystemSpec) -> np.ndarray:
     """The iterated vectors as columns of one n x k matrix, zero iterates kept."""
-    cols = []
-    for s, g, l in spec.triples:
-        a = spec.operators[s]
-        v = spec.generators[g]
-        for _ in range(l + 1):
-            cols.append(v)
-            v = a @ v
-    return np.column_stack(cols)
+    return _orbits(spec.operators, spec.generators, spec.triples)
 
 
 def iterate(spec: DynamicalSystemSpec) -> Frame:
@@ -177,40 +192,40 @@ def diagonal_reduce(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL):
 def take_samples(spec: DynamicalSystemSpec, f, tol: float = DEFAULT_TOL) -> SampleSet:
     """Inner products of f against every iterated vector.
 
-    Each value is <f, A_s^j f_s>; the adjoint form <A_s*^j f, f_s> is
-    computed as well and the two are cross-checked.
+    Each value is <f, A_s^j f_s>, read off F* f with F the iterated
+    columns; the adjoint form <A_s*^j f, f_s> comes from one sweep of
+    A_s* per triple, and the two are cross-checked entry by entry.
     """
     f = as_vector(f)
     if f.shape[0] != spec.dim:
         raise DimensionMismatch(f"sample vector has dim {f.shape[0]}, expected {spec.dim}")
-    indices = []
-    values = []
-    for s, (op_i, gen_i, l) in enumerate(spec.triples):
-        a = spec.operators[op_i]
-        v = spec.generators[gen_i]
-        w = f
-        for j in range(l + 1):
-            direct = inner(f, v)
-            adjoint = inner(w, spec.generators[gen_i])
-            if abs(direct - adjoint) > 10 * tol * max(1.0, abs(direct)):
-                raise NumericalFailure(
-                    f"sample cross-check failed at (s={s}, j={j}): "
-                    f"{direct!r} vs {adjoint!r}")
-            indices.append((s, j))
-            values.append(direct)
-            v = a @ v
-            w = a.conj().T @ w
-    return SampleSet(indices=tuple(indices), values=tuple(values))
+    direct = iterate_columns(spec).conj().T @ f
+    sweeps = _orbits(tuple(a.conj().T for a in spec.operators), (f,),
+                     tuple((s, 0, l) for s, _, l in spec.triples))
+    gens = np.stack(spec.generators, axis=1)[:, [g for _, g, l in spec.triples
+                                                  for _ in range(l + 1)]]
+    adjoint = np.sum(gens.conj() * sweeps, axis=0)
+    indices = spec.lattice()
+    bad = np.abs(direct - adjoint) > 10 * tol * np.maximum(1.0, np.abs(direct))
+    if bad.any():
+        i = int(np.argmax(bad))
+        s, j = indices[i]
+        raise NumericalFailure(
+            f"sample cross-check failed at (s={s}, j={j}): "
+            f"{direct[i].item()!r} vs {adjoint[i].item()!r}")
+    return SampleSet(indices=indices, values=tuple(direct.tolist()))
 
 
 def reconstruct(spec: DynamicalSystemSpec, samples: SampleSet,
                 weights=None, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Recover f from its samples.
 
-    Without weights the dual-system route is used:
-        f = sum_(s,j) <A_s*^j f, f_s> B_s^j g_s
-    with (B_s, g_s) the dynamical dual.  With weights w (a scaling
-    certificate making the iterated frame tight), the self-dual route
+    Without weights the canonical-dual route is used.  The dual frame
+    {B_s^j g_s} of the dynamical dual is S^-1 F, so
+        f = sum_(s,j) <f, A_s^j f_s> B_s^j g_s = S^-1 (F samples),
+    one solve with the frame operator S = F F*, with no dual system
+    built or iterated.  With weights w (a scaling certificate making the
+    iterated frame tight), the self-dual route
         f = sum_i w_i^2 <f, v_i> v_i
     over the iterated vectors v_i is used instead.
     """
@@ -218,14 +233,13 @@ def reconstruct(spec: DynamicalSystemSpec, samples: SampleSet,
     if tuple(samples.indices) != lattice:
         raise IndexMismatch("sample index set does not match the system lattice")
     vals = np.asarray(samples.values)
-    if weights is None:
-        dual = dynamical_dual(spec, tol)
-        return iterate(dual.as_spec()).matrix @ vals
-
     frame = iterate(spec)
     report = analyze(frame, tol)
     if not report.is_frame:
         raise NotAFrame(f"iterated system has lower bound {report.lower_bound:.3e}")
+    if weights is None:
+        return np.linalg.solve(frame_operator(frame), frame.matrix @ vals)
+
     w = np.asarray(getattr(weights, "weights", weights), dtype=float).ravel()
     if w.shape[0] != frame.size:
         raise IndexMismatch(

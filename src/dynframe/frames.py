@@ -11,7 +11,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotAFrame, ShapeMismatch, ZeroVector
+from .errors import (DimensionMismatch, NotAFrame, NumericalFailure, ShapeMismatch,
+                     ZeroVector)
 from .numkernel import DEFAULT_TOL, as_matrix, field_of, fro, hermitian_eig, svd_rank
 
 
@@ -96,14 +97,19 @@ def frame_operator(frame: Frame) -> np.ndarray:
 def analyze(frame: Frame, tol: float = DEFAULT_TOL) -> FrameReport:
     """Frame bounds A = lambda_min(S), B = lambda_max(S) and derived flags.
 
+    Only the eigenvalues of S are computed (frame_operator makes S
+    exactly Hermitian); a LAPACK failure raises NumericalFailure.
     Rank-deficient systems come back with is_frame false rather than an
     error; tightness is decided spectrally here (the diagram-vector test
     in the scalability module is an independent oracle for the same
     question).
     """
-    lam, _ = hermitian_eig(frame_operator(frame), tol)
-    upper = float(lam[0])
-    lower = float(lam[-1])
+    try:
+        lam = np.linalg.eigvalsh(frame_operator(frame))
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(str(exc)) from exc
+    lower = float(lam[0])
+    upper = float(lam[-1])
     is_frame = lower > tol
     is_tight = is_frame and (upper - lower) <= tol * upper
     constant = (upper + lower) / 2.0 if is_tight else None

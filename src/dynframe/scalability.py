@@ -26,6 +26,7 @@ never assumed.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -121,6 +122,15 @@ def diagram_vector(f, field: Optional[str] = None) -> DiagramVector:
     return DiagramVector(dim=n, field=field, entries=entries)
 
 
+@lru_cache(maxsize=64)
+def _pairs(n: int):
+    """np.triu_indices(n, 1) as read-only arrays, built once per n."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
 def _quadratic_parts(m):
     """The entries of m_i m_i* for every column m_i of m, all at once.
 
@@ -128,7 +138,7 @@ def _quadratic_parts(m):
     conj(m(ju[r])) over the pairs iu < ju of np.triu_indices, one
     column per column of m.
     """
-    iu, ju = np.triu_indices(m.shape[0], 1)
+    iu, ju = _pairs(m.shape[0])
     return np.abs(m) ** 2, m[iu] * m[ju].conj(), iu, ju
 
 

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
+from dynframe import dynamics
 from dynframe.constructions import CompanionSpec, companion, harmonic, multigen_rotation
 from dynframe.dynamics import (DynamicalSystemSpec, diagonal_reduce,
-                               dynamical_dual, iterate, reconstruct,
-                               take_samples, transport)
+                               dynamical_dual, iterate, iterate_columns,
+                               reconstruct, take_samples, transport)
 from dynframe.errors import (DimensionMismatch, IndexMismatch, NotAFrame,
-                             NotNormal, SingularTransport, ZeroVector)
+                             NotNormal, NumericalFailure, SingularTransport,
+                             ZeroVector)
 from dynframe.frames import analyze, canonical_dual, frame_operator, verify_duality
 from dynframe.instances import random_invertible, random_spec, random_unitary
+from dynframe.numkernel import inner
 from dynframe.scalability import solve_scaling
 
 E1_3 = np.array([1.0, 0.0, 0.0])
@@ -22,6 +25,26 @@ def shift_spec(iters=3):
 def one_vector_spec():
     return DynamicalSystemSpec.single(np.diag([1.0, -1.0]),
                                       np.array([0.5, 0.5]), 3)
+
+
+def two_operator_spec(rng):
+    """A complex and a real operator, each on a generator of its own."""
+    return DynamicalSystemSpec(
+        operators=(0.6 * random_unitary(rng, 3, "complex"), np.diag([0.9, -0.8, 0.7])),
+        generators=(rng.standard_normal(3), rng.standard_normal(3)),
+        triples=((0, 0, 2), (1, 1, 3)))
+
+
+def column_stack_reference(spec):
+    """The iterated columns, one product per power, stacked at the end."""
+    cols = []
+    for s, g, l in spec.triples:
+        a = spec.operators[s]
+        v = spec.generators[g]
+        for _ in range(l + 1):
+            cols.append(v)
+            v = a @ v
+    return np.column_stack(cols)
 
 
 class TestSpecValidation:
@@ -64,6 +87,39 @@ class TestIterate:
             [c, s, 0], [c * c - s * s, 2 * s * c, 0],
             [c, 0, s], [c * c - s * s, 0, 2 * s * c]])
         assert np.allclose(fr.matrix, expect)
+
+
+class TestIterateColumns:
+    @staticmethod
+    def _assert_bit_identical(spec):
+        got, ref = iterate_columns(spec), column_stack_reference(spec)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    def test_random_systems(self, rng):
+        for field in ("real", "complex"):
+            for _ in range(10):
+                self._assert_bit_identical(
+                    random_spec(rng, int(rng.integers(2, 6)), field=field, max_ops=3))
+
+    def test_zero_iterates(self):
+        spec = DynamicalSystemSpec(operators=(np.eye(3, k=-1), np.zeros((3, 3))),
+                                   generators=(E1_3,), triples=((0, 0, 5), (1, 0, 2)))
+        self._assert_bit_identical(spec)
+        assert not np.any(iterate_columns(spec)[:, 3:6])
+
+    def test_mixed_real_and_complex(self, rng):
+        self._assert_bit_identical(two_operator_spec(rng))
+        spec = DynamicalSystemSpec(
+            operators=(np.diag([1.0, 2.0]), np.diag([1j, 1.0])),
+            generators=(np.array([1.0, 1.0]), np.array([1.0, 1j])),
+            triples=((0, 1, 2), (1, 0, 0), (0, 0, 1)))
+        self._assert_bit_identical(spec)
+        unused = DynamicalSystemSpec(operators=(np.eye(2), 1j * np.eye(2)),
+                                     generators=(np.array([1.0, 2.0]),),
+                                     triples=((0, 0, 2), (1, 0, 0)))
+        assert iterate_columns(unused).dtype == np.float64
+        self._assert_bit_identical(unused)
 
 
 class TestDynamicalDual:
@@ -177,6 +233,32 @@ class TestTakeSamples:
         with pytest.raises(DimensionMismatch):
             take_samples(shift_spec(3), np.array([1.0, 0.0]))
 
+    def test_values_are_inner_products(self, rng):
+        specs = [random_spec(rng, 4, field=field, max_ops=3)
+                 for field in ("real", "complex")] + [two_operator_spec(rng)]
+        for spec in specs:
+            cols = column_stack_reference(spec)
+            for f in (rng.standard_normal(spec.dim),
+                      rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)):
+                samples = take_samples(spec, f)
+                assert samples.indices == spec.lattice()
+                ref = [inner(f, cols[:, i]) for i in range(cols.shape[1])]
+                assert [type(v) for v in samples.values] == [type(v) for v in ref]
+                assert np.allclose(samples.values, ref, rtol=1e-13, atol=1e-13)
+
+    def test_cross_check_failure_names_its_entry(self, rng, monkeypatch):
+        spec = two_operator_spec(rng)
+        at = spec.lattice().index((1, 2))
+
+        def perturbed(spec):
+            cols = column_stack_reference(spec)
+            cols[:, at] += 1e-3
+            return cols
+
+        monkeypatch.setattr(dynamics, "iterate_columns", perturbed)
+        with pytest.raises(NumericalFailure, match=r"cross-check failed at \(s=1, j=2\)"):
+            take_samples(spec, rng.standard_normal(3))
+
 
 class TestReconstruct:
     def test_dual_route_roundtrip(self, rng):
@@ -211,6 +293,30 @@ class TestReconstruct:
                                   values=samples.values[:-1])
         with pytest.raises(IndexMismatch):
             reconstruct(spec, truncated)
+
+    def test_dual_route_is_the_dual_system_synthesis(self, rng):
+        specs = ([random_spec(rng, int(rng.integers(2, 6)), field=field, max_ops=3)
+                  for field in ("real", "complex") for _ in range(8)]
+                 + [two_operator_spec(rng), harmonic(4, 9)])
+        for spec in specs:
+            f = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
+            samples = take_samples(spec, f)
+            dual = iterate(dynamical_dual(spec).as_spec()).matrix
+            expect = dual @ np.asarray(samples.values)
+            got = reconstruct(spec, samples)
+            assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(f)
+            assert np.linalg.norm(got - f) <= 1e-8 * np.linalg.norm(f)
+
+    @pytest.mark.parametrize("weights", [None, np.ones(2)])
+    def test_not_a_frame_message(self, weights):
+        spec = shift_spec(1)
+        samples = take_samples(spec, E1_3)
+        with pytest.raises(NotAFrame) as from_dual:
+            dynamical_dual(spec)
+        with pytest.raises(NotAFrame) as raised:
+            reconstruct(spec, samples, weights=weights)
+        assert str(raised.value) == str(from_dual.value)
+        assert str(raised.value).startswith("iterated system has lower bound ")
 
     def test_multi_operator_roundtrip(self, rng):
         for _ in range(10):

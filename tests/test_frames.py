@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynframe.errors import DimensionMismatch, NotAFrame, ShapeMismatch, ZeroVector
+from dynframe.errors import (DimensionMismatch, NotAFrame, NumericalFailure,
+                             ShapeMismatch, ZeroVector)
 from dynframe.frames import (Frame, analyze, canonical_dual, frame_operator,
                              fusion_check, verify_duality)
 from dynframe.instances import random_frame
+from dynframe.numkernel import hermitian_eig
 
 
 def cols(*vectors):
@@ -65,6 +67,27 @@ class TestAnalyze:
         rep = analyze(PARSEVAL_PM)
         assert rep.is_tight and rep.parseval
         assert rep.tight_constant == pytest.approx(1.0, abs=1e-12)
+
+    def test_bounds_are_the_extreme_eigenvalues(self, rng):
+        for field in ("real", "complex"):
+            for n, k in ((2, 2), (3, 7), (6, 10), (16, 40), (5, 3)):
+                m = rng.standard_normal((n, k))
+                if field == "complex":
+                    m = m + 1j * rng.standard_normal((n, k))
+                fr = Frame(m)
+                lam, _ = hermitian_eig(frame_operator(fr))
+                rep = analyze(fr)
+                assert abs(rep.upper_bound - lam[0]) <= 1e-12 * lam[0]
+                assert abs(rep.lower_bound - lam[-1]) <= 1e-12 * lam[0]
+                assert rep.is_frame == (k >= n)
+
+    def test_eigensolver_failure_is_numerical(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            analyze(PARSEVAL_PM)
 
 
 class TestCanonicalDual:

@@ -73,6 +73,60 @@ class TestDiagramVector:
                 assert np.allclose(got, np.column_stack(ref), rtol=0.0, atol=1e-14)
 
 
+def _parent_quadratic_parts(m):
+    iu, ju = np.triu_indices(m.shape[0], 1)
+    return np.abs(m) ** 2, m[iu] * m[ju].conj(), iu, ju
+
+
+def _parent_scaling_system(m):
+    """_scaling_system with np.triu_indices rebuilt on every call."""
+    m = np.asarray(m)
+    sq, prod, _, _ = _parent_quadratic_parts(m)
+    aeq = np.vstack([sq, prod.real] + ([prod.imag] if np.iscomplexobj(m) else []))
+    beq = np.zeros(aeq.shape[0])
+    beq[:m.shape[0]] = 1.0
+    return aeq, beq
+
+
+def _parent_diagram_columns(m):
+    """_diagram_columns with np.triu_indices rebuilt on every call."""
+    n, k = m.shape
+    if n == 1:
+        return np.zeros((0, k))
+    sq, prod, iu, ju = _parent_quadratic_parts(m)
+    if np.iscomplexobj(m):
+        p = np.sqrt(float(n)) * prod
+        prods = np.stack([p.real, p.imag], axis=1).reshape(-1, k)
+    else:
+        prods = np.sqrt(2.0 * n) * prod
+    return (1.0 / np.sqrt(n - 1.0)) * np.vstack([sq[iu] - sq[ju], prods])
+
+
+class TestPairCache:
+    def test_pairs_are_read_only_triu_indices(self):
+        for n in range(1, 10):
+            iu, ju = scalability._pairs(n)
+            ref_i, ref_j = np.triu_indices(n, 1)
+            assert np.array_equal(iu, ref_i) and np.array_equal(ju, ref_j)
+            assert not iu.flags.writeable and not ju.flags.writeable
+            with pytest.raises(ValueError):
+                iu[...] = 0
+            assert scalability._pairs(n)[0] is iu
+
+    def test_kernels_match_the_uncached_build(self, rng):
+        for n in (1, 2, 3, 5, 8, 13):
+            for complex_field in (False, True):
+                for k in (1, n, 3 * n):
+                    m = rng.standard_normal((n, k))
+                    if complex_field:
+                        m = m + 1j * rng.standard_normal((n, k))
+                    for got, ref in ((_scaling_system(m), _parent_scaling_system(m)),
+                                     ((_diagram_columns(m),), (_parent_diagram_columns(m),))):
+                        for a, b in zip(got, ref):
+                            assert a.dtype == b.dtype and a.shape == b.shape
+                            assert a.tobytes() == b.tobytes()
+
+
 class TestScalingKernel:
     @staticmethod
     def _vech(s):
