@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IndexMismatch, NotAFrame, NumericalFailure,
                      SingularTransport, ZeroVector)
-from .frames import Frame, analyze, frame_operator
+from .frames import Frame, analyze_operator, frame_operator
 from .numkernel import DEFAULT_TOL, as_matrix, as_vector, fro, unitary_diagonalize
 
 
@@ -140,11 +140,10 @@ def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DualS
     generated by B_s = S^{-1} A_s S acting on g_s = S^{-1} f_s, with the
     same iteration counts.
     """
-    frame = iterate(spec)
-    report = analyze(frame, tol)
+    s_op = frame_operator(iterate(spec))
+    report = analyze_operator(s_op, tol)
     if not report.is_frame:
         raise NotAFrame(f"iterated system has lower bound {report.lower_bound:.3e}")
-    s_op = frame_operator(frame)
     ops = tuple(np.linalg.solve(s_op, a @ s_op) for a in spec.operators)
     gens = tuple(np.linalg.solve(s_op, f) for f in spec.generators)
     return DualSystem(operators=ops, generators=gens, source=spec, frame_op=s_op)
@@ -234,11 +233,12 @@ def reconstruct(spec: DynamicalSystemSpec, samples: SampleSet,
         raise IndexMismatch("sample index set does not match the system lattice")
     vals = np.asarray(samples.values)
     frame = iterate(spec)
-    report = analyze(frame, tol)
+    s_op = frame_operator(frame)
+    report = analyze_operator(s_op, tol)
     if not report.is_frame:
         raise NotAFrame(f"iterated system has lower bound {report.lower_bound:.3e}")
     if weights is None:
-        return np.linalg.solve(frame_operator(frame), frame.matrix @ vals)
+        return np.linalg.solve(s_op, frame.matrix @ vals)
 
     w = np.asarray(getattr(weights, "weights", weights), dtype=float).ravel()
     if w.shape[0] != frame.size:

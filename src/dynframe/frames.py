@@ -97,15 +97,23 @@ def frame_operator(frame: Frame) -> np.ndarray:
 def analyze(frame: Frame, tol: float = DEFAULT_TOL) -> FrameReport:
     """Frame bounds A = lambda_min(S), B = lambda_max(S) and derived flags.
 
-    Only the eigenvalues of S are computed (frame_operator makes S
-    exactly Hermitian); a LAPACK failure raises NumericalFailure.
     Rank-deficient systems come back with is_frame false rather than an
     error; tightness is decided spectrally here (the diagram-vector test
     in the scalability module is an independent oracle for the same
     question).
     """
+    return analyze_operator(frame_operator(frame), tol)
+
+
+def analyze_operator(s, tol: float = DEFAULT_TOL) -> FrameReport:
+    """The report of analyze, from a frame operator S = F F* already formed.
+
+    Only the eigenvalues of S are computed (frame_operator makes S
+    exactly Hermitian); a LAPACK failure raises NumericalFailure.
+    Callers that go on to solve with S form it once and pass it here.
+    """
     try:
-        lam = np.linalg.eigvalsh(frame_operator(frame))
+        lam = np.linalg.eigvalsh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
     lower = float(lam[0])
@@ -120,12 +128,11 @@ def analyze(frame: Frame, tol: float = DEFAULT_TOL) -> FrameReport:
 
 def canonical_dual(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
     """The canonical dual {S^{-1} f_i}."""
-    report = analyze(frame, tol)
+    s = frame_operator(frame)
+    report = analyze_operator(s, tol)
     if not report.is_frame:
         raise NotAFrame(f"lower bound {report.lower_bound:.3e} is not positive")
-    s = frame_operator(frame)
-    dual = np.linalg.solve(s, frame.matrix)
-    return Frame(dual)
+    return Frame(np.linalg.solve(s, frame.matrix))
 
 
 def verify_duality(frame: Frame, dual: Frame, tol: float = DEFAULT_TOL) -> bool:

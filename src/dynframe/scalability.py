@@ -1,7 +1,7 @@
 """Tightness and scalability: diagram vectors, weight certificates, diagonal systems.
 
 The scaling question sum_i x_i f_i f_i* = I, x = w^2 >= 0, is decided by
-three routes:
+these routes, in this order (_solve):
 
 * the closed form (_closed_form), wherever the answer is forced: when
   the k operators f_i f_i* are linearly independent, K x = c with
@@ -11,21 +11,31 @@ three routes:
   up to a phase) are merged, the group totals are forced instead; and
   a tight frame is scaled by uniform weights, which the trace row makes
   the max-min point;
+* the split (_split): when the exact zeros of the columns group the
+  coordinates into components with disjoint supports (block-diagonal
+  operators), the system is block diagonal and each component is
+  decided on its own, its witness padded with zeros;
+* the gap rule (_gap_rule) for a 2-D component, or a 2-D system, whose
+  diagram points lie on one great circle (all real ones): scalable
+  exactly when no gap between the doubled angles exceeds pi, with the
+  max-min point and the witness in closed form;
 * the max-min LP (numkernel.nonneg_feasible) on the range of the
-  equality system, for anything the closed form leaves undecided.  Both
-  routes return a certificate checked on the raw columns or a witness
-  that clears _sound_witness, the bound of the trace row;
+  equality system, for anything the routes above leave undecided, on
+  each component that is left.  All routes return a certificate checked
+  on the raw columns or a witness that clears _sound_witness, the bound
+  of the trace row;
 * the diagram-vector Gramian test on the unit-normalized frame (oracle),
-  built apart from K: null dimension 1 decides by the signs of the null
-  vector, and from 2 on the projection of (|f_i|^2) onto the null space,
-  with an LP when it has a negative entry, whose witness needs a gap
-  above its max violation (a proof, as the row 1'x = 1 bounds x).
+  built apart from K and never split: null dimension 1 decides by the
+  signs of the null vector, and from 2 on the projection of (|f_i|^2)
+  onto the null space, with an LP when it has a negative entry, whose
+  witness needs a gap above its max violation (a proof, as the row
+  1'x = 1 bounds x).
 
 The agreement of the solver and the oracle is a checked invariant,
 never assumed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Optional
 
@@ -44,6 +54,14 @@ from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, as_vector, fro
 # share one operator u u*, and such a pair alone puts an eigenvalue of K
 # at or below _K_RCOND, so a K that passes the rank test merges nothing.
 _K_RCOND = 1e-10
+
+# _gap_rule leaves a 2-D system to the general route when its largest
+# doubled-angle gap is within this many radians of pi.  At exactly pi
+# (an orthonormal basis plus one more vector) the system is scalable with
+# margin 0, the chord that gives the max-min point passes through 0 and
+# the witness has no gap, so neither answer of the rule is well
+# conditioned there.  Computed angles are good to about 1e-15.
+_GAP_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -348,17 +366,13 @@ def _closed_form(aeq, beq, columns, tol):
     return None
 
 
-def _solve(aeq, beq, columns, tol: float):
-    """Decide aeq x = beq, x >= 0 for the scaling system of columns.
+def _lp(aeq, beq, columns, tol):
+    """Decide aeq x = beq, x >= 0 by the max-min LP.
 
-    Tries _closed_form first and runs nonneg_feasible when it gives no
-    answer.  Returns a certificate whose residual is recomputed on the
-    n x k matrix columns (zero columns allowed), or a witness that clears
-    _sound_witness; anything else raises NumericalFailure.
+    Returns a certificate whose residual is recomputed on the n x k
+    matrix columns, or a witness that clears _sound_witness at
+    n = columns.shape[0]; anything else raises NumericalFailure.
     """
-    fast = _closed_form(aeq, beq, columns, tol)
-    if fast is not None:
-        return fast
     res = nonneg_feasible(aeq, beq, tol=tol)
     if isinstance(res, InfeasibleWitness):
         return _sound_witness(res, aeq, columns.shape[0])
@@ -370,24 +384,185 @@ def _solve(aeq, beq, columns, tol: float):
     return _certificate(x, residual, res.margin, tol)
 
 
+def _gap_rule(aeq, beq, columns, tol):
+    """Decide a 2-D system from the gaps between its doubled angles.
+
+    A unit column u has u u* = (I + g . sigma) / 2 with the point
+    g = (p - q, 2 Re P, 2 Im P) / c on the unit sphere, read off the
+    column's rows p = |f(1)|^2, q = |f(2)|^2, P = f(1) conj(f(2)), with
+    c = p + q.  When all points lie on one great circle (always over the
+    reals, where Im P = 0), the system sum_j x_j f_j f_j* = I, that is
+    sum_j c_j x_j = 2 and sum_j c_j x_j g_j = 0, is feasible exactly when
+    no gap between the points' angles on that circle exceeds pi:
+
+    * witness: with m the unit direction at the middle of a gap above pi
+      and eps = min_j (-m . g_j) > 0, y = (eps + b1, eps - b1, 2 b2, 2 b3),
+      b = m in sphere coordinates, has y'a_j = c_j (eps + m . g_j) <= 0
+      and y'beq = 2 eps > 0;
+    * max-min point: with s = sum_j c_j g_j, the direction e = -s / |s|
+      meets the boundary of the hull of the points at r e on the chord
+      from g_a to g_b, the neighbours of e in angle, and
+      t = 2 r / (|s| + r sum_j c_j) is the largest min x: x = t 1 plus
+      the remaining mass W = 2 - t sum_j c_j split over a and b in the
+      proportions that put sum_j c_j x_j g_j at 0.
+
+    Returns None, for the general route, when the points leave the
+    circle (by more than tol), when the largest gap lies within
+    _GAP_SLACK of pi, and when the answer does not check on the system's
+    own columns (x >= 0 and residual <= tol, or _checked_witness).
+    """
+    c = aeq[0] + aeq[1]
+    g = np.vstack([aeq[0] - aeq[1], 2.0 * aeq[2:]]) / c
+    basis = np.eye(2)
+    if g.shape[0] == 3:
+        basis, sing, _ = np.linalg.svd(g)
+        if sing.size == 3 and sing[2] > tol:
+            return None
+        basis = basis[:, :2]
+        g = basis.T @ g
+    g = g / np.linalg.norm(g, axis=0)
+    ang = np.arctan2(g[1], g[0])
+    order = np.argsort(ang)
+    ang = ang[order]
+    gaps = np.diff(np.append(ang, ang[0] + 2.0 * np.pi))
+    top = int(np.argmax(gaps))
+    if abs(gaps[top] - np.pi) <= _GAP_SLACK:
+        return None
+    if gaps[top] > np.pi:
+        mid = ang[top] + gaps[top] / 2.0
+        m = np.array([np.cos(mid), np.sin(mid)])
+        eps = float(np.min(-(m @ g)))
+        b = basis @ m
+        return _checked_witness(np.concatenate([[eps + b[0], eps - b[0]], 2.0 * b[1:]]),
+                                aeq, beq, 2, tol)
+    s = g @ c
+    phi = float(np.arctan2(-s[1], -s[0]))
+    after = int(np.searchsorted(ang, phi, side="right")) % ang.size
+    ja, jb = order[after - 1], order[after]
+    e = np.array([np.cos(phi), np.sin(phi)])
+    r, lam = np.linalg.solve(np.column_stack([e, g[:, jb] - g[:, ja]]), g[:, jb])
+    t = 2.0 * r / (np.linalg.norm(s) + r * c.sum())
+    rest = 2.0 - t * c.sum()
+    x = np.full(c.size, t)
+    x[ja] += lam * rest / c[ja]
+    x[jb] += (1.0 - lam) * rest / c[jb]
+    residual = scaling_residual(columns, x)
+    if x.min() < 0 or residual > tol:
+        return None
+    return _certificate(x, residual, float(x.min()), tol)
+
+
+def _component_rows(idx, n: int, cplx: bool):
+    """Rows of the scaling system of n coordinates that involve only the
+    coordinates idx (ascending), in the order _scaling_system gives the
+    system of those coordinates alone."""
+    iu, ju = _pairs(idx.size)
+    i, j = idx[iu], idx[ju]
+    pair = n + i * (2 * n - i - 1) // 2 + (j - i - 1)
+    return np.concatenate([idx, pair] + ([pair + n * (n - 1) // 2] if cplx else []))
+
+
+def _components(support):
+    """(coordinates, columns) of each connected component of a support pattern.
+
+    Two coordinates are linked when some column is nonzero at both; the
+    components are the classes of the transitive closure, found by
+    propagating the least coordinate index along the links.  Each column
+    goes with the component of its support.
+    """
+    n = support.shape[0]
+    s = support.astype(float)
+    linked = s @ s.T > 0
+    label = np.arange(n)
+    while True:
+        lower = np.where(linked, label, n).min(axis=1)
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    col_label = label[np.argmax(support, axis=0)]
+    return [(np.flatnonzero(label == root), np.flatnonzero(col_label == root))
+            for root in np.flatnonzero(label == np.arange(n))]
+
+
+def _split(aeq, beq, columns, tol):
+    """Decide the system one disjoint-support component at a time.
+
+    Coordinates are grouped by the exact zeros of the columns
+    (_components); rows that pair two components are zero, so the system
+    is block diagonal and each component is a scaling system of its own
+    n_b coordinates.  A 2-D component goes to _gap_rule first, and any
+    component it leaves undecided to _closed_form and then the LP.  The
+    certificate joins the component weights, its margin is the least
+    component margin, and its residual is recomputed on all columns; a
+    witness is one infeasible component's y, sound at n_b, padded with
+    zeros into the full row order.  A single component gets only the
+    gap rule (the caller's _closed_form has already run on it).  Returns
+    None, for the LP on the whole system, when a column or a coordinate
+    is all zero, when a single component is left undecided, and when the
+    joined residual exceeds tol.
+    """
+    n, k = columns.shape
+    support = columns != 0
+    if not (support.any(axis=0).all() and support.any(axis=1).all()):
+        return None
+    parts = _components(support)
+    if len(parts) == 1:
+        return _gap_rule(aeq, beq, columns, tol) if n == 2 else None
+    cplx = np.iscomplexobj(columns)
+    x = np.empty(k)
+    margin = np.inf
+    for idx, cols in parts:
+        rows = _component_rows(idx, n, cplx)
+        sub = (aeq[np.ix_(rows, cols)], beq[rows], columns[np.ix_(idx, cols)])
+        res = _gap_rule(*sub, tol) if idx.size == 2 else None
+        if res is None:
+            res = _closed_form(*sub, tol)
+        if res is None:
+            res = _lp(*sub, tol)
+        if isinstance(res, InfeasibleWitness):
+            y = np.zeros(aeq.shape[0])
+            y[rows] = res.y
+            return InfeasibleWitness(y=y, gap=res.gap, max_violation=float(np.max(y @ aeq)))
+        x[cols] = res.squares
+        margin = min(margin, res.margin)
+    residual = scaling_residual(columns, x)
+    return _certificate(x, residual, margin, tol) if residual <= tol else None
+
+
+def _solve(columns, tol: float):
+    """Decide sum_i x_i f_i f_i* = I, x >= 0, over the columns f_i of an n x k matrix.
+
+    Routes, in order: _closed_form on the whole system, then _split
+    (disjoint-support components, 2-D ones by _gap_rule), then the LP.
+    Returns a certificate whose residual is recomputed on columns (zero
+    columns allowed), or a witness that clears _sound_witness; anything
+    else raises NumericalFailure.
+    """
+    aeq, beq = _scaling_system(columns)
+    res = _closed_form(aeq, beq, columns, tol)
+    if res is None:
+        res = _split(aeq, beq, columns, tol)
+    return res if res is not None else _lp(aeq, beq, columns, tol)
+
+
 def solve_scaling(frame: Frame, tol: float = DEFAULT_TOL):
     """Weights w_i >= 0 with sum w_i^2 f_i f_i* = I, or a Farkas witness.
 
     The answer always carries the maximized minimum of x = w^2, and the
-    strict flag on the certificate records margin > tol.  Routes: when
-    K = |F*F|^2 is nonsingular the solution x = K^-1 c is unique, so a
-    nonnegative one is the certificate and a negative entry or a large
-    residual gives the witness in closed form.  When K is singular, the
-    same holds for the group totals once parallel columns are merged
-    (repeated orbit vectors), and a tight frame is certified by uniform
-    weights.  Otherwise, or when a witness does not check, the max-min LP
-    decides.  The Gramian oracle
-    (gramian_scaling_check) is the third, independent route.  A witness
-    is returned only when its gap clears the soundness bound of the trace
-    row; any other infeasibility report raises NumericalFailure
-    ("undecided").
+    strict flag on the certificate records margin > tol.  Routes, in
+    order: the closed form (when K = |F*F|^2 is nonsingular the solution
+    x = K^-1 c is unique, and the same holds for group totals once
+    parallel columns are merged; a tight frame is certified by uniform
+    weights); then the split into components of disjoint support, each
+    decided on its own; then, for a 2-D component or frame whose diagram
+    points share a great circle, the doubled-angle gap rule; and last the
+    max-min LP, on the whole system or on each component left.  The
+    Gramian oracle (gramian_scaling_check) is the independent route.  A
+    witness is returned only when its gap clears the soundness bound of
+    the trace row (of its component, when split); any other
+    infeasibility report raises NumericalFailure ("undecided").
     """
-    return _solve(*_scaling_system(frame.matrix), frame.matrix, tol)
+    return _solve(frame.matrix, tol)
 
 
 def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
@@ -472,23 +647,26 @@ def build_diagonal_system(a, generators, iters) -> DiagonalScalingSystem:
 
 
 def solve_diagonal_system(system: DiagonalScalingSystem, tol: float = DEFAULT_TOL):
-    """Run the feasibility solver on a diagonal scaling system.
+    """Decide a diagonal scaling system by solve_scaling's route on its columns D^j v_s.
 
     Returns a certificate whose weights follow the system's unknown
     order (which matches iterate() on the corresponding spec), or the
-    solver's witness.
+    solver's witness in the system's row order.
     """
-    cols = _diagonal_columns(system.diag, system.generators, system.unknown_index)
-    return _solve(system.matrix, system.rhs, cols, tol)
+    return _solve(_diagonal_columns(system.diag, system.generators, system.unknown_index), tol)
 
 
 def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
     """Scalability of {A^j f_s} for normal A, via the diagonal model.
 
-    Diagonalizes A = U D U*, assembles the diagonal system on the
-    rotated generators U* f_s, and solves.  Weights transfer verbatim
-    to the original iterates A^j f_s, where the certificate residual is
-    evaluated.
+    Diagonalizes A = U D U* and solves the scaling system of the columns
+    D^j v_s on the rotated generators v_s = U* f_s, by the route of
+    solve_scaling: closed form, then the split into disjoint-support
+    components with 2-D components decided by their doubled-angle gaps,
+    then the LP.  The split reads the zeros of the diagonal-model
+    columns, so blocks of A decouple even when the eigenvalue order
+    interleaves them.  Weights transfer verbatim to the original iterates
+    A^j f_s, where the certificate residual is evaluated again.
     """
     from .dynamics import DynamicalSystemSpec, diagonal_reduce, iterate_columns
 
@@ -497,8 +675,14 @@ def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
     spec = DynamicalSystemSpec(operators=(a,), generators=gens,
                                triples=tuple((0, s, l) for s, l in enumerate(iters)))
     _, d, reduced = diagonal_reduce(spec, tol)
-    system = build_diagonal_system(np.diag(d), reduced.generators, iters)
-    return _solve(system.matrix, system.rhs, iterate_columns(spec), tol)
+    res = _solve(_diagonal_columns(np.diag(d), reduced.generators, spec.lattice()), tol)
+    if isinstance(res, InfeasibleWitness):
+        return res
+    residual = scaling_residual(iterate_columns(spec), res.squares)
+    if residual > tol:
+        raise NumericalFailure(
+            f"scaling residual {residual:.3e} on the iterates exceeds tolerance {tol:.1e}")
+    return replace(res, residual=residual)
 
 
 def real_one_vector_obstruction(a) -> bool:

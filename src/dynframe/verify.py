@@ -466,7 +466,7 @@ def _check_construction_certificates(rng, t, tol):
 def _check_block_theorem(rng, t, tol):
     p = int(rng.integers(2, 4))
     blocks = []
-    statuses = []
+    results = []
     force_bad = t % 2 == 1
     bad_slot = int(rng.integers(p)) if force_bad else -1
     for s in range(p):
@@ -478,7 +478,7 @@ def _check_block_theorem(rng, t, tol):
         else:
             blk, _ = random_scalable_frame(rng, ns, ns + int(rng.integers(1, 4)))
         blocks.append(blk)
-        statuses.append(_feasible(solve_scaling(blk, tol=tol)))
+        results.append(solve_scaling(blk, tol=tol))
     dims = [b.dim for b in blocks]
     total = int(sum(dims))
     cols = []
@@ -489,8 +489,13 @@ def _check_block_theorem(rng, t, tol):
         cols.append(block_cols)
         off += b.dim
     stacked = Frame(np.hstack(cols))
-    if _feasible(solve_scaling(stacked, tol=tol)) != all(statuses):
+    whole = solve_scaling(stacked, tol=tol)
+    if _feasible(whole) != all(_feasible(r) for r in results):
         return f"trial {t}: stacked feasibility differs from blockwise"
+    if _feasible(whole):
+        least = min(r.margin for r in results)
+        if abs(whole.margin - least) > 1e-9:
+            return f"trial {t}: stacked margin {whole.margin:.3e}, least block margin {least:.3e}"
 
     spec = cons.BlockDiagSpec(tuple(random_matrix(rng, d) for d in dims))
     big = cons.block_diag(spec)

@@ -554,6 +554,128 @@ class TestClosedForm:
         assert not gramian_scaling_check(frame)[2]
 
 
+def _doubled_angle_gap(omega, l):
+    # largest gap between the angles 2 j omega (mod 2 pi), j = 0..l
+    ang = np.sort(np.mod(2.0 * omega * np.arange(l + 1), 2.0 * np.pi))
+    return float(np.max(np.diff(np.append(ang, ang[0] + 2.0 * np.pi))))
+
+
+def _block_rotations(rng, p, bad):
+    """2x2 rotation blocks, each iterated on the e1 of its block to
+    L_t = 2 + t mod 3; block `bad` leaves a doubled-angle gap above pi,
+    the others below (-1: none is bad)."""
+    a = np.zeros((2 * p, 2 * p))
+    iters = [2 + t % 3 for t in range(p)]
+    for t, l in enumerate(iters):
+        while True:
+            omega = rng.uniform(0.1, np.pi - 0.1)
+            gap = _doubled_angle_gap(omega, l)
+            if (gap > np.pi + 0.3) if t == bad else (gap < np.pi - 0.3):
+                break
+        c, s = np.cos(omega), np.sin(omega)
+        a[2 * t:2 * t + 2, 2 * t:2 * t + 2] = [[c, -s], [s, c]]
+    return a, [np.eye(2 * p)[2 * t] for t in range(p)], iters
+
+
+def _stack(*blocks):
+    # block-diagonal synthesis matrix: each block on coordinates of its own
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return Frame(out)
+
+
+class TestSplit:
+    @staticmethod
+    def _without_lp(monkeypatch, solve, *args):
+        from dynframe import numkernel
+
+        def no_lp(*a, **kw):
+            raise AssertionError("linprog called")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(numkernel, "linprog", no_lp)
+            return solve(*args)
+
+    @staticmethod
+    def _check_padded(w, aeq, coords, n):
+        # the witness of the component on coordinates coords: zero off
+        # that component's rows and a proof on its own system (trace row
+        # of n_b = 2)
+        assert w.max_violation <= DEFAULT_TOL and w.gap > DEFAULT_TOL
+        rows = scalability._component_rows(coords, n, aeq.shape[0] > n * (n + 1) // 2)
+        assert not np.any(np.delete(w.y, rows))
+        cols = np.flatnonzero(aeq[coords].sum(axis=0) > 0)
+        own = InfeasibleWitness(y=w.y[rows], gap=w.gap, max_violation=w.max_violation)
+        assert scalability._sound_witness(own, aeq[np.ix_(rows, cols)], 2) is own
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_block_rotations_without_the_lp(self, p, rng, monkeypatch):
+        from dynframe.dynamics import diagonal_reduce
+
+        for bad in (-1, int(rng.integers(p))):
+            a, gens, iters = _block_rotations(rng, p, bad)
+            spec = DynamicalSystemSpec(operators=(a,), generators=tuple(gens),
+                                       triples=tuple((0, t, l) for t, l in enumerate(iters)))
+            frame = iterate(spec)
+            aeq, beq = _scaling_system(frame.matrix)
+            lp = nonneg_feasible(aeq, beq)
+            _, d, reduced = diagonal_reduce(spec)
+            model = build_diagonal_system(np.diag(d), reduced.generators, iters).matrix
+            for res, system, coords in (
+                    (self._without_lp(monkeypatch, solve_scaling, frame), aeq,
+                     np.array([2 * bad, 2 * bad + 1])),
+                    (self._without_lp(monkeypatch, normal_scalability, a, gens, iters), model,
+                     np.flatnonzero(reduced.generators[bad]))):
+                if bad < 0:
+                    assert isinstance(lp, Feasible) and isinstance(res, ScalingCertificate)
+                    assert res.margin == pytest.approx(lp.margin, abs=1e-9)
+                    assert scaling_residual(frame, res.squares) <= DEFAULT_TOL
+                else:
+                    assert isinstance(lp, InfeasibleWitness)
+                    assert isinstance(res, InfeasibleWitness)
+                    self._check_padded(res, system, coords, 2 * p)
+
+    @pytest.mark.parametrize("field", ["real", "equator"])
+    def test_two_dim_frames_without_the_lp(self, field, rng, monkeypatch):
+        # past n(n+1)/2 columns (real) and past the rank 3 of operators
+        # whose points share a great circle (equator), so K is singular
+        # and only the gap rule can answer without the LP
+        verdicts = set()
+        for k in range(4, 9):
+            for _ in range(12):
+                theta = rng.uniform(0.0, np.pi, size=k) * rng.choice([0.3, 1.0])
+                norms = np.exp(rng.uniform(-2.0, 2.0, size=k))
+                if field == "real":
+                    m = np.vstack([np.cos(theta), np.sin(theta)]) * norms
+                else:
+                    phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=k))
+                    m = np.vstack([np.ones(k), np.exp(2j * theta)]) * phase * norms
+                res = TestClosedForm._pinned(Frame(m), monkeypatch)
+                if isinstance(res, InfeasibleWitness):
+                    assert res.max_violation <= DEFAULT_TOL and res.gap > DEFAULT_TOL
+                verdicts.add(type(res))
+        assert verdicts == {ScalingCertificate, InfeasibleWitness}
+
+    def test_basis_plus_one_vector_block(self, rng):
+        # an orthonormal basis plus one unit vector in R^2 leaves a
+        # doubled-angle gap of exactly pi: scalable, margin 0, and not a
+        # case for the gap rule; stacked with blocks that are decided by it
+        for _ in range(10):
+            v = rng.standard_normal(2)
+            edge = np.column_stack([random_unitary(rng, 2), v / np.linalg.norm(v)])
+            angle = rng.uniform(0.0, np.pi) + np.pi * np.arange(5) / 5
+            spread = np.vstack([np.cos(angle), np.sin(angle)]) * rng.uniform(0.5, 2.0, size=5)
+            frame = _stack(spread, edge, random_scalable_frame(rng, 2, 4)[0].matrix)
+            res = solve_scaling(frame)
+            lp = nonneg_feasible(*_scaling_system(frame.matrix))
+            assert isinstance(res, ScalingCertificate) and isinstance(lp, Feasible)
+            assert res.squares.min() >= 0 and res.residual <= DEFAULT_TOL
+            assert not res.strict and res.margin == pytest.approx(lp.margin, abs=1e-9)
+
+
 class TestGramianOracle:
     def test_basis_gramian(self):
         gram, _, found = gramian_scaling_check(cols([1.0, 0], [0, 1.0]))
