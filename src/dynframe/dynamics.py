@@ -130,7 +130,9 @@ def iterate_columns(spec: DynamicalSystemSpec) -> np.ndarray:
 
 def iterate(spec: DynamicalSystemSpec) -> Frame:
     """The iterated system as a Frame, triples in order and powers ascending."""
-    return Frame(iterate_columns(spec))
+    columns = iterate_columns(spec)
+    columns.setflags(write=False)  # a fresh read-only array: Frame keeps it without a copy
+    return Frame(columns)
 
 
 def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DualSystem:

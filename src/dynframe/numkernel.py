@@ -2,10 +2,13 @@
 
 Field-tagged scalars live in plain numpy arrays (float64 = real,
 complex128 = complex).  Everything here is a pure function over small
-dense matrices; no state, no caching.
+dense matrices; the only state is the HiGHS binding, loaded on the first
+LP.
 """
 
+import functools
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,6 +32,11 @@ _LP_OPTIONS = {
     "dual_feasibility_tolerance": 1e-10,
 }
 
+# The rest of what scipy.optimize.linprog(method="highs") sets: presolve,
+# no debug checks, no log, and the dual simplex (simplex_strategy 1).
+_HIGHS_OPTIONS = (("presolve", "on"), ("highs_debug_level", 0), ("output_flag", False),
+                  ("log_to_console", False), ("simplex_strategy", 1))
+
 
 def field_of(arr) -> str:
     return "complex" if np.iscomplexobj(arr) else "real"
@@ -36,7 +44,7 @@ def field_of(arr) -> str:
 
 def _frozen(data, field, ndim, kind):
     dtype = complex if field == "complex" else (float if field == "real" else None)
-    a = np.array(data, dtype=dtype)
+    a = data if _kept(data, dtype) else np.array(data, dtype=dtype)
     if a.ndim != ndim:
         raise ValueError(f"expected a {kind}, got ndim={a.ndim}")
     if a.dtype not in (np.float64, np.complex128):
@@ -45,6 +53,15 @@ def _frozen(data, field, ndim, kind):
         raise ValueError(f"{kind} entries must be finite")
     a.setflags(write=False)
     return a
+
+
+def _kept(data, dtype) -> bool:
+    """Whether data is kept without a copy: a float64 or complex128 array
+    (of the field asked for) that is read-only and owns its data, as the
+    arrays frozen here are.  A writable array, or a read-only view of one,
+    is copied, so that later writes to the caller's array cannot reach it."""
+    return (isinstance(data, np.ndarray) and not data.flags.writeable and data.flags.owndata
+            and data.dtype in ((np.float64, np.complex128) if dtype is None else (np.dtype(dtype),)))
 
 
 def as_matrix(data, field=None):
@@ -155,14 +172,97 @@ class InfeasibleWitness:
     max_violation: float  # max entry of y' Aeq
 
 
-def linprog(c, **kwargs):
-    """scipy.optimize.linprog, imported on first use.
+@dataclass(frozen=True)
+class LPResult:
+    """What linprog reports: scipy's status code, HiGHS' own words for it,
+    the simplex iteration count, and x (None unless status is 0)."""
 
-    Only the scaling LP needs scipy.optimize, so commands that never
-    solve one do not pay for its import.
+    status: int           # 0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 other
+    message: str          # HiGHS model status, e.g. "Primal infeasible or unbounded"
+    nit: int
+    x: Optional[np.ndarray]
+
+
+@functools.lru_cache(maxsize=None)
+def _highs():
+    """The HiGHS binding that scipy bundles, and scipy's status code for
+    each HiGHS model status; imported on first use, so that commands that
+    never solve an LP do not load scipy."""
+    from scipy.optimize._highspy import _core
+
+    s = _core.HighsModelStatus
+    codes = {s.kOptimal: 0, s.kTimeLimit: 1, s.kIterationLimit: 1,
+             s.kInfeasible: 2, s.kModelError: 2, s.kUnbounded: 3}
+    return _core, codes
+
+
+def linprog(c, *, bounds, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LPResult:
+    """Minimize c'x subject to A_ub x <= b_ub, A_eq x = b_eq and bounds.
+
+    bounds is one (lower, upper) pair per variable, None meaning no
+    bound.  The dense data go to HiGHS' dual simplex through the binding
+    that scipy bundles, with the options that
+    scipy.optimize.linprog(method="highs", options=_LP_OPTIONS) sets, so
+    the solver takes the same pivots and returns the same x; the status
+    codes are scipy's too.  Unlike scipy, no solution is re-checked
+    against the constraints here: callers check their own residuals.
+    Data that HiGHS rejects (an infinite matrix entry, say) raise
+    ValueError.
     """
-    from scipy.optimize import linprog as scipy_linprog
-    return scipy_linprog(c, **kwargs)
+    core, codes = _highs()
+    c = np.asarray(c, dtype=float)
+    ncols = c.size
+    # rows A_ub then A_eq, as lower <= row . x <= upper
+    blocks, lower, upper = [np.zeros((0, ncols))], [np.zeros(0)], [np.zeros(0)]
+    if A_ub is not None:
+        b = np.asarray(b_ub, dtype=float)
+        blocks.append(np.asarray(A_ub, dtype=float))
+        lower.append(np.full(b.size, -np.inf))
+        upper.append(b)
+    if A_eq is not None:
+        b = np.asarray(b_eq, dtype=float)
+        blocks.append(np.asarray(A_eq, dtype=float))
+        lower.append(b)
+        upper.append(b)
+    a = np.vstack(blocks)
+    box = np.array(bounds, dtype=float)
+    col_lower = np.where(np.isnan(box[:, 0]), -np.inf, box[:, 0])  # None reads as nan
+    col_upper = np.where(np.isnan(box[:, 1]), np.inf, box[:, 1])
+
+    lp = core.HighsLp()
+    lp.num_col_ = ncols
+    lp.num_row_ = a.shape[0]
+    lp.col_cost_ = c
+    lp.col_lower_ = col_lower
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = np.concatenate(lower)
+    lp.row_upper_ = np.concatenate(upper)
+    # column-wise (CSC) storage of the nonzeros of a, rows ascending
+    nonzero = a.T != 0.0
+    matrix = lp.a_matrix_
+    matrix.format_ = core.MatrixFormat.kColwise
+    matrix.num_col_ = ncols
+    matrix.num_row_ = a.shape[0]
+    matrix.start_ = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
+    matrix.index_ = np.nonzero(nonzero)[1]
+    matrix.value_ = a.T[nonzero]
+
+    highs = core._Highs()
+    for name, value in (*_HIGHS_OPTIONS, *_LP_OPTIONS.items()):
+        highs.setOptionValue(name, value)
+    if highs.passModel(lp) == core.HighsStatus.kError:
+        raise ValueError("HiGHS rejected the linear program")
+    highs.run()
+    model_status = highs.getModelStatus()
+    status = codes.get(model_status, 4)
+    x = np.array(highs.getSolution().col_value) if status == 0 else None
+    return LPResult(status=status, message=highs.modelStatusToString(model_status),
+                    nit=int(highs.getInfo().simplex_iteration_count), x=x)
+
+
+def _outcome(res: LPResult) -> str:
+    """A failed LP's status, in scipy's code and HiGHS' words, and its iterations."""
+    return f"status {res.status} (HiGHS: {res.message}, {res.nit} iterations)"
 
 
 def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
@@ -188,6 +288,12 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
     x = z + t 1 with z >= 0, so "x_i >= t" is a variable bound and not a
     row.  A witness y_c of the projected system maps back as y = Q y_c,
     in the row space and row order of aeq.
+
+    Both programs run through linprog (HiGHS' dual simplex).  When either
+    ends in any status but optimal or, for the max-min program,
+    infeasible, NumericalFailure names the status, HiGHS' model status and
+    the iteration count, e.g. "linear program ended with status 4 (HiGHS:
+    Primal infeasible or unbounded, 12 iterations)".
     """
     aeq = np.asarray(aeq, dtype=float)
     beq = np.asarray(beq, dtype=float).ravel()
@@ -212,8 +318,7 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
     x_ls = np.linalg.lstsq(a_c, b_c, rcond=None)[0]
     cap = MARGIN_CAP * max(1.0, float(np.max(np.abs(x_ls))))
     bounds = [(0.0, None)] * ncols + [(0.0, cap)]
-    res = linprog(cost, A_eq=a_eq, b_eq=b_c, bounds=bounds, method="highs",
-                  options=_LP_OPTIONS)
+    res = linprog(cost, A_eq=a_eq, b_eq=b_c, bounds=bounds)
 
     if res.status == 0:
         x = res.x[:ncols] + res.x[-1]
@@ -228,14 +333,13 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
         return Feasible(x=x, margin=float(x.min()))
 
     if res.status == 2:
-        w = linprog(-b_c, A_ub=a_c.T, b_ub=np.zeros(ncols),
-                    bounds=[(-1.0, 1.0)] * q.shape[1], method="highs", options=_LP_OPTIONS)
+        w = linprog(-b_c, A_ub=a_c.T, b_ub=np.zeros(ncols), bounds=[(-1.0, 1.0)] * q.shape[1])
         if w.status != 0:
-            raise NumericalFailure("witness program did not solve")
+            raise NumericalFailure(f"witness program did not solve: {_outcome(w)}")
         y = q @ w.x
         gap = float(beq @ y)
         if gap <= tol:
             raise NumericalFailure("infeasibility reported but no valid Farkas witness found")
         return InfeasibleWitness(y=y, gap=gap, max_violation=float(np.max(aeq.T @ y)))
 
-    raise NumericalFailure(f"linear program ended with status {res.status}")
+    raise NumericalFailure(f"linear program ended with {_outcome(res)}")

@@ -88,6 +88,28 @@ class TestIterate:
             [c, 0, s], [c * c - s * s, 0, 2 * s * c]])
         assert np.allclose(fr.matrix, expect)
 
+    def test_matrix_is_read_only(self, rng):
+        for spec in (shift_spec(3), two_operator_spec(rng), harmonic(8, 16)):
+            m = iterate(spec).matrix
+            assert not m.flags.writeable
+            assert np.array_equal(m, column_stack_reference(spec))
+
+    def test_frame_keeps_the_fresh_columns(self, monkeypatch):
+        made = []
+
+        def columns(spec):
+            made.append(iterate_columns(spec))
+            return made[-1]
+
+        monkeypatch.setattr(dynamics, "iterate_columns", columns)
+        assert iterate(shift_spec(3)).matrix is made[0]
+
+    def test_nilpotent_orbit_has_a_zero_vector(self):
+        # the strictly lower shift sends e1 to 0 after three steps
+        spec = DynamicalSystemSpec.single(np.eye(3, k=-1), E1_3, 3)
+        with pytest.raises(ZeroVector, match="vector 3 is zero"):
+            iterate(spec)
+
 
 class TestIterateColumns:
     @staticmethod

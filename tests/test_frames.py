@@ -27,6 +27,38 @@ class TestFrameType:
         with pytest.raises(DimensionMismatch):
             Frame.from_vectors([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
 
+    def test_copies_a_writable_array(self):
+        a = np.eye(2)
+        fr = Frame(a)
+        a[0, 0] = 5.0
+        assert fr.matrix is not a
+        assert fr.matrix[0, 0] == 1.0 and not fr.matrix.flags.writeable
+
+    def test_copies_a_read_only_view(self):
+        a = np.eye(2, dtype=complex)
+        view = a[:, :]
+        view.setflags(write=False)
+        fr = Frame(view)
+        a[0, 0] = 5.0
+        assert fr.matrix is not view
+        assert fr.matrix[0, 0] == 1.0
+
+    def test_keeps_a_frozen_array(self):
+        a = np.eye(2)
+        a.setflags(write=False)
+        assert Frame(a).matrix is a
+        assert Frame(Frame(a).matrix).matrix is a
+
+    def test_checks_a_kept_array(self):
+        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
+        bad.setflags(write=False)
+        with pytest.raises(ValueError, match="finite"):
+            Frame(bad)
+        zero = np.array([[1.0, 0.0], [0.0, 0.0]])
+        zero.setflags(write=False)
+        with pytest.raises(ZeroVector):
+            Frame(zero)
+
     def test_field_tag(self):
         assert cols([1, 0], [0, 1]).field == "real"
         assert Frame(np.array([[1.0 + 0j, 1j]])).field == "complex"

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynframe.errors import NotHermitian, NotNormal
+from dynframe import numkernel
+from dynframe.errors import NotHermitian, NotNormal, NumericalFailure
 from dynframe.instances import random_normal_matrix, random_unitary
-from dynframe.numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, fro,
-                                hermitian_eig, inner, nonneg_feasible,
+from dynframe.numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, LPResult,
+                                as_matrix, fro, hermitian_eig, inner, nonneg_feasible,
                                 svd_rank, unitary_diagonalize)
+from dynframe.scalability import _scaling_system
 
 
 class TestHermitianEig:
@@ -180,6 +182,111 @@ class TestNonnegFeasible:
         assert isinstance(res, InfeasibleWitness)
         assert res.y @ b > DEFAULT_TOL
         assert np.max(a.T @ res.y) <= DEFAULT_TOL
+
+
+def _recorded_lps(monkeypatch, aeq, beq):
+    """The kernel calls nonneg_feasible(aeq, beq) makes, each with its result."""
+    calls, kernel = [], numkernel.linprog
+
+    def record(c, **kwargs):
+        res = kernel(c, **kwargs)
+        calls.append((c, kwargs, res))
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(numkernel, "linprog", record)
+        nonneg_feasible(aeq, beq)
+    return calls
+
+
+def _overcomplete(rng, n, k, field):
+    # Parseval rows divided by positive weights: scalable, past n(n+1)/2 columns
+    u = random_unitary(rng, k, field)[:n, :]
+    return u / rng.uniform(0.4, 2.5, size=k)
+
+
+class TestLinprogReference:
+    """numkernel.linprog calls the HiGHS binding that scipy bundles; it must
+    answer as scipy.optimize.linprog(method="highs") does on the same LP."""
+
+    def _assert_matches_scipy(self, calls):
+        from scipy.optimize import linprog as scipy_linprog
+        assert calls
+        for c, kwargs, res in calls:
+            ref = scipy_linprog(c, method="highs", options=numkernel._LP_OPTIONS, **kwargs)
+            assert res.status == ref.status
+            assert res.nit == ref.nit
+            if ref.status == 0:
+                assert np.allclose(res.x, ref.x, rtol=0.0, atol=1e-12)
+            else:
+                assert res.x is None
+
+    @pytest.mark.parametrize("n, k, field", [(3, 8, "real"), (4, 14, "real"),
+                                             (3, 12, "complex")])
+    def test_max_min_of_overcomplete_scaling_systems(self, rng, monkeypatch, n, k, field):
+        aeq, beq = _scaling_system(_overcomplete(rng, n, k, field))
+        calls = _recorded_lps(monkeypatch, aeq, beq)
+        assert [res.status for _, _, res in calls] == [0]
+        self._assert_matches_scipy(calls)
+
+    def test_orthant_frame_and_its_witness(self, rng, monkeypatch):
+        # positive entries: every off-diagonal of sum x_i f_i f_i* is positive
+        aeq, beq = _scaling_system(rng.uniform(0.1, 1.0, size=(4, 6)))
+        calls = _recorded_lps(monkeypatch, aeq, beq)
+        assert [res.status for _, _, res in calls] == [2, 0]
+        assert calls[1][1]["A_ub"] is not None
+        assert set(calls[1][1]["bounds"]) == {(-1.0, 1.0)}
+        self._assert_matches_scipy(calls)
+
+    def test_capped_unbounded_ray(self, monkeypatch):
+        # x1 = x2 is a ray: the margin stops at the cap
+        calls = _recorded_lps(monkeypatch, np.array([[1.0, -1.0]]), np.array([0.0]))
+        assert [res.status for _, _, res in calls] == [0]
+        assert calls[0][2].x[-1] == numkernel.MARGIN_CAP
+        self._assert_matches_scipy(calls)
+
+    def test_feasibility_tolerance(self):
+        # x2 = -2.5e-9 is within HiGHS' default tolerance 1e-7 but not 1e-10
+        kwargs = {"A_eq": np.array([[1.0, 1.0], [1.0, -1.0]]), "b_eq": np.array([1.0, 1.0 + 5e-9]),
+                  "bounds": [(0.0, None), (0.0, None)]}
+        res = numkernel.linprog(np.array([0.0, -1.0]), **kwargs)
+        assert res.status == 2
+        self._assert_matches_scipy([(np.array([0.0, -1.0]), kwargs, res)])
+
+    def test_unbounded(self):
+        # the same ray with no cap: status 3, as scipy reports it
+        kwargs = {"A_eq": np.array([[1.0, -1.0]]), "b_eq": np.array([0.0]),
+                  "bounds": [(0.0, None), (0.0, None)]}
+        res = numkernel.linprog(np.array([-1.0, 0.0]), **kwargs)
+        assert res.status == 3 and res.x is None
+        self._assert_matches_scipy([(np.array([-1.0, 0.0]), kwargs, res)])
+
+
+class TestLPFailureMessages:
+    UNDECIDED = LPResult(status=4, message="Primal infeasible or unbounded", nit=12, x=None)
+
+    def test_max_min_program(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "linprog", lambda c, **kwargs: self.UNDECIDED)
+        with pytest.raises(NumericalFailure, match=r"^linear program ended with status 4 "
+                           r"\(HiGHS: Primal infeasible or unbounded, 12 iterations\)$"):
+            nonneg_feasible(np.array([[1.0, 1.0]]), np.array([1.0]))
+
+    def test_witness_program(self, monkeypatch):
+        infeasible = LPResult(status=2, message="Infeasible", nit=3, x=None)
+        answers = iter([infeasible, self.UNDECIDED])
+        monkeypatch.setattr(numkernel, "linprog", lambda c, **kwargs: next(answers))
+        with pytest.raises(NumericalFailure, match=r"^witness program did not solve: status 4 "
+                           r"\(HiGHS: Primal infeasible or unbounded, 12 iterations\)$"):
+            nonneg_feasible(np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+
+
+class TestFrozen:
+    def test_field_conversion_copies_a_frozen_array(self):
+        a = np.eye(2)
+        a.setflags(write=False)
+        m = as_matrix(a, field="complex")
+        assert m.dtype == np.complex128 and m is not a
+        assert as_matrix(a, field="real") is a
 
 
 class TestInnerConvention:
