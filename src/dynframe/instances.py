@@ -10,15 +10,18 @@ from .dynamics import DynamicalSystemSpec, iterate
 from .frames import Frame, analyze
 from .numkernel import DEFAULT_TOL
 
+# least ratio of smallest to largest singular value in random_frame and random_invertible
+_MIN_COND = 0.05
 
-def random_vector(rng, n, field="real", scale=1.0):
+
+def random_vector(rng, n, field="real"):
     v = rng.standard_normal(n)
     if field == "complex":
         v = v + 1j * rng.standard_normal(n)
     nrm = np.linalg.norm(v)
     if nrm < 1e-6:
         v[0] = v[0] + 1.0
-    return scale * v
+    return v
 
 
 def random_matrix(rng, n, m=None, field="real"):
@@ -35,11 +38,11 @@ def random_unitary(rng, n, field="real"):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_invertible(rng, n, field="real", min_cond=0.05):
+def random_invertible(rng, n, field="real"):
     while True:
         a = random_matrix(rng, n, field=field)
         s = np.linalg.svd(a, compute_uv=False)
-        if s[-1] > min_cond * s[0]:
+        if s[-1] > _MIN_COND * s[0]:
             return a
 
 
@@ -73,7 +76,7 @@ def random_normal_matrix(rng, n, field="real"):
     return u @ d @ u.T
 
 
-def random_frame(rng, n, k, field="real", min_cond=0.05):
+def random_frame(rng, n, k, field="real"):
     """Generic frame, resampled until decently conditioned.
 
     The conditioning floor keeps inverse-based identities (duals,
@@ -83,7 +86,7 @@ def random_frame(rng, n, k, field="real", min_cond=0.05):
     while True:
         m = random_matrix(rng, n, k, field=field)
         s = np.linalg.svd(m, compute_uv=False)
-        if s[-1] > min_cond * s[0]:
+        if s[-1] > _MIN_COND * s[0]:
             return Frame(m)
 
 
@@ -104,8 +107,7 @@ def random_scalable_frame(rng, n, k, field="real"):
     return Frame(parseval.matrix / w), w
 
 
-def random_spec(rng, n, field="real", max_ops=1, frame_only=True,
-                tol=DEFAULT_TOL):
+def random_spec(rng, n, field="real", max_ops=1, frame_only=True):
     """Random iterated system sharing one generator across operators.
 
     With frame_only, draws are resampled until the iterated system is a
@@ -128,7 +130,7 @@ def random_spec(rng, n, field="real", max_ops=1, frame_only=True,
                                    triples=tuple(triples))
         if not frame_only:
             return spec
-        report = analyze(iterate(spec), tol)
+        report = analyze(iterate(spec), DEFAULT_TOL)
         if report.is_frame and report.lower_bound > 1e-3 * report.upper_bound:
             return spec
 

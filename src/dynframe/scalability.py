@@ -149,42 +149,6 @@ def _pairs(n: int):
     return iu, ju
 
 
-def _quadratic_parts(m):
-    """The entries of m_i m_i* for every column m_i of m, all at once.
-
-    Returns (sq, prod, iu, ju): sq[i] = |m(i)|^2 and prod[r] = m(iu[r])
-    conj(m(ju[r])) over the pairs iu < ju of np.triu_indices, one
-    column per column of m.
-    """
-    iu, ju = _pairs(m.shape[0])
-    return np.abs(m) ** 2, m[iu] * m[ju].conj(), iu, ju
-
-
-def _diagram_columns(m) -> np.ndarray:
-    """Diagram vectors of all columns of m at once, one output column each.
-
-    Each column holds the entries diagram_vector gives for that column
-    of m, in the field of m's dtype.
-    """
-    n, k = m.shape
-    if n == 1:
-        return np.zeros((0, k))
-    sq, prod, iu, ju = _quadratic_parts(m)
-    if np.iscomplexobj(m):
-        p = np.sqrt(float(n)) * prod
-        prods = np.stack([p.real, p.imag], axis=1).reshape(-1, k)
-    else:
-        prods = np.sqrt(2.0 * n) * prod
-    return (1.0 / np.sqrt(n - 1.0)) * np.vstack([sq[iu] - sq[ju], prods])
-
-
-def tight_via_diagram(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
-    """Tightness test: the diagram vectors of a tight frame sum to zero."""
-    total = _diagram_columns(frame.matrix).sum(axis=1)
-    mass = float(np.sum(np.abs(frame.matrix) ** 2))
-    return float(np.linalg.norm(total)) <= tol * mass
-
-
 def _scaling_system(m):
     """Rows of sum_i x_i vech(m_i m_i*) = vech(I) over the columns of m.
 
@@ -193,11 +157,35 @@ def _scaling_system(m):
     their imaginary parts (rhs 0).
     """
     m = np.asarray(m)
-    sq, prod, _, _ = _quadratic_parts(m)
-    aeq = np.vstack([sq, prod.real] + ([prod.imag] if np.iscomplexobj(m) else []))
+    iu, ju = _pairs(m.shape[0])
+    prod = m[iu] * m[ju].conj()
+    aeq = np.vstack([np.abs(m) ** 2, prod.real] + ([prod.imag] if np.iscomplexobj(m) else []))
     beq = np.zeros(aeq.shape[0])
     beq[:m.shape[0]] = 1.0
     return aeq, beq
+
+
+def _diagram_rows(m) -> np.ndarray:
+    """Diagram vectors of all columns of m, read off _scaling_system's rows.
+
+    The differences of the n diagonal rows over the pairs i < j, then the
+    pair rows times sqrt(2n) (real) or sqrt(n) (complex), all divided by
+    sqrt(n - 1): diagram_vector's entries, with complex pair rows in
+    blocks (real parts, then imaginary parts) where it alternates them.
+    n = 1 gives no rows (the max only keeps the factor finite).
+    """
+    n = m.shape[0]
+    aeq, _ = _scaling_system(m)
+    iu, ju = _pairs(n)
+    pair_scale = np.sqrt(float(n) if np.iscomplexobj(m) else 2.0 * n)
+    return (1.0 / np.sqrt(max(n - 1.0, 1.0))) * np.vstack([aeq[iu] - aeq[ju], pair_scale * aeq[n:]])
+
+
+def tight_via_diagram(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
+    """Tightness test: the diagram vectors of a tight frame sum to zero."""
+    total = _diagram_rows(frame.matrix).sum(axis=1)
+    mass = float(np.sum(np.abs(frame.matrix) ** 2))
+    return float(np.linalg.norm(total)) <= tol * mass
 
 
 def scaling_residual(frame, squares) -> float:
@@ -583,9 +571,8 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     NumericalFailure ("undecided") is raised otherwise.
     """
     unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)
-    diag = _diagram_columns(unit)
+    diag = _diagram_rows(unit)
     gram = diag.T @ diag
-    gram = (gram + gram.T) / 2.0
     k = gram.shape[0]
 
     lam, vecs = hermitian_eig(gram, tol)

@@ -216,27 +216,31 @@ def certificate_to_json(res) -> dict:
     raise TypeError(f"cannot serialize {type(res).__name__} as a certificate")
 
 
+def _number(d, key) -> float:
+    x = d.get(key)
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not np.isfinite(float(x)):
+        raise InputError(f"{key} must be a finite number")
+    return float(x)
+
+
 def certificate_from_json(d):
     if not isinstance(d, dict):
         raise InputError("certificate object must be a JSON object")
     if "witness" in d:
         y = vector_from_json(d["witness"], "real", "witness")
-        gap = d.get("witness_check")
-        if not isinstance(gap, (int, float)):
-            raise InputError("witness_check must be a number")
-        return InfeasibleWitness(y=y, gap=float(gap), max_violation=0.0)
+        return InfeasibleWitness(y=y, gap=_number(d, "witness_check"), max_violation=0.0)
     for key in ("weights", "tight_constant", "residual", "strict", "margin"):
         if key not in d:
             raise InputError(f"certificate missing key {key!r}")
     w = vector_from_json(d["weights"], "real", "weights")
-    if np.any(w < 0):
-        raise InputError("certificate weights must be nonnegative")
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise InputError("certificate weights must be finite and nonnegative")
     if not isinstance(d["strict"], bool):
         raise InputError("strict must be a boolean")
     return ScalingCertificate(weights=w, squares=w ** 2,
-                              tight_constant=float(d["tight_constant"]),
-                              residual=float(d["residual"]), strict=d["strict"],
-                              margin=float(d["margin"]))
+                              tight_constant=_number(d, "tight_constant"),
+                              residual=_number(d, "residual"), strict=d["strict"],
+                              margin=_number(d, "margin"))
 
 
 def samples_to_json(samples: SampleSet) -> dict:

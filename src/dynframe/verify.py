@@ -577,13 +577,16 @@ def run_suite(name, trials=None, seed=0, tol=DEFAULT_TOL) -> SuiteResult:
     """Run a suite's check on trials 0..trials-1, stopping at the first failure.
 
     Trial t draws from its own generator, seeded from (seed, suite
-    index, t).  A library error raised by a check fails that trial.
+    index, t).  A library error raised by a check fails that trial.  A
+    trial count below 1 raises ValueError.
     """
     if name not in SUITE_NAMES:
         raise KeyError(f"unknown suite {name!r}")
     sid = SUITE_NAMES.index(name)
     _, default_trials, check = _SUITES[sid]
     n_trials = default_trials if trials is None else int(trials)
+    if n_trials < 1:
+        raise ValueError(f"trial count must be at least 1, got {n_trials}")
     detail = None
     for t in range(n_trials):
         rng = np.random.default_rng(

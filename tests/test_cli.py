@@ -157,6 +157,120 @@ class TestSystemInput:
         assert code == 2 and out == "" and "error" in err
 
 
+def _frame_dict():
+    return {"rows": 2, "cols": 1, "field": "real", "data": [[1.0], [0.0]]}
+
+
+def _samples_dict():
+    return {"field": "real", "indices": [[0, 0], [0, 1]], "values": [1.0, 0.5]}
+
+
+def _certificate_dict():
+    return {"weights": [0.8, 0.8, 0.8], "tight_constant": 1.0, "residual": 0.0,
+            "strict": True, "margin": 0.64}
+
+
+def _witness_dict():
+    return {"witness": [1.0, -1.0, 0.5], "witness_check": 0.25}
+
+
+def _replace(value):
+    return lambda d: value
+
+
+def _drop(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+_GOOD = {"frame": (_frame_dict, ser.frame_from_json),
+         "system": (_system_dict, ser.system_from_json),
+         "samples": (_samples_dict, ser.samples_from_json),
+         "certificate": (_certificate_dict, ser.certificate_from_json),
+         "witness": (_witness_dict, ser.certificate_from_json)}
+
+
+def _read_through_cli(capsys, kind, path, mercedes, tmp_path):
+    """Run the CLI command that reads a file of this kind from path."""
+    sys_path, _ = mercedes
+    if kind == "frame":
+        return run(capsys, "analyze", path)
+    if kind == "system":
+        return run(capsys, "gen", path)
+    if kind == "samples":
+        return run(capsys, "reconstruct", sys_path, path)
+    f_path = frame_file(tmp_path, "f.json", [[0.9, 0.4]])
+    return run(capsys, "reconstruct", sys_path, "--simulate", f_path, "--weights", path)
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("kind, edit", [
+        ("frame", _drop("data")),
+        ("frame", _set(("field",), "quaternion")),
+        ("frame", _replace([[1.0], [0.0]])),
+        ("frame", _set(("data",), [[1.0]])),
+        ("frame", _set(("data", 1), [0.0, 1.0])),
+        ("frame", _set(("data", 0, 0), [1.0, 0.0])),
+        ("frame", _set(("data", 0, 0), True)),
+        ("frame", _set(("data", 0, 0), "1.0")),
+        ("frame", _set(("data", 0, 0), float("nan"))),
+        ("system", _replace([])),
+        ("system", _drop("triples")),
+        ("system", _set(("field",), "quaternion")),
+        ("system", _set(("operators",), [])),
+        ("system", _set(("generators",), [])),
+        ("system", _set(("generators", 0), [])),
+        ("system", _set(("triples",), [])),
+        ("samples", _replace("samples")),
+        ("samples", _drop("values")),
+        ("samples", _set(("field",), "quaternion")),
+        ("samples", _set(("values",), [1.0])),
+        ("samples", _set(("indices", 0), [0])),
+        ("samples", _set(("indices", 1), [0, 1.0])),
+        ("certificate", _replace([0.8, 0.8, 0.8])),
+        ("certificate", _drop("margin")),
+        ("certificate", _set(("weights", 1), -0.8)),
+        ("certificate", _set(("weights", 1), float("nan"))),
+        ("certificate", _set(("strict",), 1)),
+        ("witness", _drop("witness_check")),
+    ], ids=["frame-missing-key", "frame-unknown-field", "frame-not-object",
+            "frame-row-count", "frame-row-length", "frame-pair-in-real",
+            "frame-boolean-entry", "frame-string-entry", "frame-nan",
+            "system-not-object", "system-missing-key", "system-unknown-field",
+            "system-no-operators", "system-no-generators", "system-empty-vector",
+            "system-no-triples", "samples-not-object", "samples-missing-key",
+            "samples-unknown-field", "samples-length-mismatch",
+            "samples-short-index", "samples-float-index", "certificate-not-object",
+            "certificate-missing-key", "certificate-negative-weight", "certificate-nan-weight",
+            "certificate-strict-not-boolean", "witness-missing-check"])
+    def test_rejected_with_input_error(self, kind, edit, mercedes, tmp_path, capsys):
+        good, reader = _GOOD[kind]
+        reader(good())
+        bad = good()
+        replaced = edit(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad if replaced is None else replaced))
+        code, out, err = _read_through_cli(capsys, kind, str(path), mercedes, tmp_path)
+        assert code == 2 and out == "" and "error" in err
+
+    @pytest.mark.parametrize("kind, key, value", [
+        ("certificate", "tight_constant", None),
+        ("certificate", "residual", "0.5"),
+        ("certificate", "margin", True),
+        ("certificate", "margin", float("inf")),
+        ("witness", "witness_check", True),
+    ])
+    def test_certificate_numbers_must_be_finite(self, kind, key, value, mercedes,
+                                                tmp_path, capsys):
+        good, _ = _GOOD[kind]
+        path = tmp_path / "cert.json"
+        bad = good()
+        bad[key] = value
+        path.write_text(json.dumps(bad))
+        code, out, err = _read_through_cli(capsys, kind, str(path), mercedes, tmp_path)
+        assert code == 2 and out == ""
+        assert f"error: {key} must be a finite number" in err
+
+
 class TestScale:
     def test_strict_certificate(self, mercedes, capsys):
         _, frame_path = mercedes
@@ -411,6 +525,21 @@ class TestVerifyCommand:
             "PASS  dual-identity  trials=3",
         ]
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trial_count_below_one_rejected(self, trials, capsys):
+        code, out, err = run(capsys, "verify", "--suite", "dual-identity",
+                             "--trials", trials)
+        assert code == 2 and out == ""
+        assert "trial count must be at least 1" in err
+        with pytest.raises(ValueError):
+            verify.run_suite("dual-identity", trials=trials)
+
+    @pytest.mark.parametrize("name", verify.SUITE_NAMES)
+    def test_every_suite_passes_three_trials(self, name):
+        result = verify.run_suite(name, trials=3, seed=0)
+        assert result.passed, result.detail
+        assert result.trials == 3
+
     def test_seed_changes_draws_not_verdicts(self, capsys):
         for seed in (0, 7):
             code, _, _ = run(capsys, "verify", "--suite", "dual-identity",
@@ -457,9 +586,10 @@ class TestDeterminism:
     def test_verify_json_deterministic(self, capsys):
         _, first, _ = run(capsys, "verify", "--suite", "diagram-oracle",
                           "--trials", 20, "--seed", 3, "--json")
-        _, second, _ = run(capsys, "verify", "--suite", "diagram-oracle",
-                           "--trials", 20, "--seed", 3, "--json")
+        code, second, _ = run(capsys, "verify", "--suite", "diagram-oracle",
+                              "--trials", 20, "--seed", 3, "--json")
         assert first == second
+        assert code == 0 and json.loads(second)[0]["passed"] is True
 
     def test_no_negative_zero_in_output(self, tmp_path, capsys):
         s = 2.0 ** -0.5

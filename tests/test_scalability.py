@@ -12,7 +12,7 @@ from dynframe.instances import (random_diagonal_data, random_frame,
                                 random_parseval, random_scalable_frame,
                                 random_unitary)
 from dynframe.numkernel import DEFAULT_TOL, Feasible, InfeasibleWitness, nonneg_feasible
-from dynframe.scalability import (ScalingCertificate, _diagram_columns,
+from dynframe.scalability import (ScalingCertificate, _diagram_rows,
                                   _scaling_system, build_diagonal_system,
                                   diagram_vector, gramian_scaling_check,
                                   normal_scalability,
@@ -67,39 +67,28 @@ class TestDiagramVector:
                 m = rng.standard_normal((n, 6))
                 if field == "complex":
                     m = m + 1j * rng.standard_normal((n, 6))
-                got = _diagram_columns(m)
-                ref = [diagram_vector(m[:, i], field=field).entries for i in range(6)]
-                assert got.shape == (len(ref[0]), 6)
-                assert np.allclose(got, np.column_stack(ref), rtol=0.0, atol=1e-14)
-
-
-def _parent_quadratic_parts(m):
-    iu, ju = np.triu_indices(m.shape[0], 1)
-    return np.abs(m) ** 2, m[iu] * m[ju].conj(), iu, ju
+                got = _diagram_rows(m)
+                ref = np.column_stack(
+                    [diagram_vector(m[:, i], field=field).entries for i in range(6)])
+                if field == "complex":
+                    # diagram_vector alternates re and im per pair; the rows
+                    # read off _scaling_system give all re, then all im
+                    pairs = n * (n - 1) // 2
+                    ref = np.vstack([ref[:pairs], ref[pairs::2], ref[pairs + 1::2]])
+                assert got.shape == ref.shape
+                assert np.allclose(got, ref, rtol=0.0, atol=1e-14)
+                assert np.allclose(got.T @ got, ref.T @ ref, rtol=0.0, atol=1e-13)
 
 
 def _parent_scaling_system(m):
     """_scaling_system with np.triu_indices rebuilt on every call."""
     m = np.asarray(m)
-    sq, prod, _, _ = _parent_quadratic_parts(m)
+    iu, ju = np.triu_indices(m.shape[0], 1)
+    sq, prod = np.abs(m) ** 2, m[iu] * m[ju].conj()
     aeq = np.vstack([sq, prod.real] + ([prod.imag] if np.iscomplexobj(m) else []))
     beq = np.zeros(aeq.shape[0])
     beq[:m.shape[0]] = 1.0
     return aeq, beq
-
-
-def _parent_diagram_columns(m):
-    """_diagram_columns with np.triu_indices rebuilt on every call."""
-    n, k = m.shape
-    if n == 1:
-        return np.zeros((0, k))
-    sq, prod, iu, ju = _parent_quadratic_parts(m)
-    if np.iscomplexobj(m):
-        p = np.sqrt(float(n)) * prod
-        prods = np.stack([p.real, p.imag], axis=1).reshape(-1, k)
-    else:
-        prods = np.sqrt(2.0 * n) * prod
-    return (1.0 / np.sqrt(n - 1.0)) * np.vstack([sq[iu] - sq[ju], prods])
 
 
 class TestPairCache:
@@ -120,11 +109,9 @@ class TestPairCache:
                     m = rng.standard_normal((n, k))
                     if complex_field:
                         m = m + 1j * rng.standard_normal((n, k))
-                    for got, ref in ((_scaling_system(m), _parent_scaling_system(m)),
-                                     ((_diagram_columns(m),), (_parent_diagram_columns(m),))):
-                        for a, b in zip(got, ref):
-                            assert a.dtype == b.dtype and a.shape == b.shape
-                            assert a.tobytes() == b.tobytes()
+                    for a, b in zip(_scaling_system(m), _parent_scaling_system(m)):
+                        assert a.dtype == b.dtype and a.shape == b.shape
+                        assert a.tobytes() == b.tobytes()
 
 
 class TestScalingKernel:
