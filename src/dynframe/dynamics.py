@@ -6,7 +6,10 @@ L) triples; iterating produces the frame candidate
     { A_s^j f_s : j = 0, ..., L_s },  triples in order, j ascending.
 
 Powers are built by repeated multiplication so non-diagonalizable
-operators are handled the same way as normal ones.
+operators are handled the same way as normal ones.  A spec iterates
+once: its columns, their Frame, and the frame operator S with its
+eigenvalues are formed on first use and kept on the spec, which is
+immutable, so every later call on the same spec reads them.
 
 The canonical dual of the iterated frame is iterated too: B_s^j g_s =
 S^-1 A_s^j f_s with B_s = S^-1 A_s S and g_s = S^-1 f_s, where S = F F*
@@ -16,13 +19,14 @@ reconstruct makes one solve with S instead of iterating the dual.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
 
 from .errors import (DimensionMismatch, IndexMismatch, NotAFrame, NumericalFailure,
                      SingularTransport, ZeroVector)
-from .frames import Frame, analyze_operator, frame_operator
+from .frames import Frame, _eigenvalues, _report, frame_operator
 from .numkernel import DEFAULT_TOL, as_matrix, as_vector, fro, unitary_diagonalize
 
 
@@ -77,6 +81,30 @@ class DynamicalSystemSpec:
             out.extend((s, j) for j in range(l + 1))
         return tuple(out)
 
+    # The memos below are read-only arrays derived from read-only fields of
+    # a frozen spec, so none can go stale.  A member that raises (a zero
+    # iterate makes no Frame) keeps nothing and raises again on the next use.
+
+    @cached_property
+    def _columns(self) -> np.ndarray:
+        """The iterated columns, zero iterates kept."""
+        columns = iterate_columns(self)
+        columns.setflags(write=False)  # Frame keeps a read-only array without a copy
+        return columns
+
+    @cached_property
+    def _frame(self) -> Frame:
+        return Frame(self._columns)
+
+    @cached_property
+    def _spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The frame operator S = F F* and its ascending eigenvalues."""
+        s_op = frame_operator(self._frame)
+        lam = _eigenvalues(s_op)
+        s_op.setflags(write=False)
+        lam.setflags(write=False)
+        return s_op, lam
+
 
 @dataclass(frozen=True)
 class DualSystem:
@@ -85,7 +113,7 @@ class DualSystem:
     operators: tuple
     generators: tuple
     source: DynamicalSystemSpec
-    frame_op: np.ndarray     # S of the source system
+    frame_op: np.ndarray     # S of the source system, read-only
 
     def as_spec(self) -> DynamicalSystemSpec:
         return DynamicalSystemSpec(operators=self.operators,
@@ -124,15 +152,31 @@ def _orbits(operators, generators, triples) -> np.ndarray:
 
 
 def iterate_columns(spec: DynamicalSystemSpec) -> np.ndarray:
-    """The iterated vectors as columns of one n x k matrix, zero iterates kept."""
+    """The iterated vectors as columns of one n x k matrix, zero iterates kept.
+
+    A fresh array on every call; the other functions here read the copy
+    that the spec keeps after its first use.
+    """
     return _orbits(spec.operators, spec.generators, spec.triples)
 
 
 def iterate(spec: DynamicalSystemSpec) -> Frame:
-    """The iterated system as a Frame, triples in order and powers ascending."""
-    columns = iterate_columns(spec)
-    columns.setflags(write=False)  # a fresh read-only array: Frame keeps it without a copy
-    return Frame(columns)
+    """The iterated system as a Frame, triples in order and powers ascending.
+
+    The Frame is built on the first call and the same one is returned on
+    later calls with the same spec; its matrix is read-only.
+    """
+    return spec._frame
+
+
+def _invertible_frame_operator(spec: DynamicalSystemSpec, tol: float):
+    """The iterated Frame and its frame operator S; NotAFrame unless S > tol."""
+    frame = iterate(spec)
+    s_op, lam = spec._spectrum
+    report = _report(lam, tol)
+    if not report.is_frame:
+        raise NotAFrame(f"iterated system has lower bound {report.lower_bound:.3e}")
+    return frame, s_op
 
 
 def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DualSystem:
@@ -142,10 +186,7 @@ def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DualS
     generated by B_s = S^{-1} A_s S acting on g_s = S^{-1} f_s, with the
     same iteration counts.
     """
-    s_op = frame_operator(iterate(spec))
-    report = analyze_operator(s_op, tol)
-    if not report.is_frame:
-        raise NotAFrame(f"iterated system has lower bound {report.lower_bound:.3e}")
+    _, s_op = _invertible_frame_operator(spec, tol)
     ops = tuple(np.linalg.solve(s_op, a @ s_op) for a in spec.operators)
     gens = tuple(np.linalg.solve(s_op, f) for f in spec.generators)
     return DualSystem(operators=ops, generators=gens, source=spec, frame_op=s_op)
@@ -193,14 +234,15 @@ def diagonal_reduce(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL):
 def take_samples(spec: DynamicalSystemSpec, f, tol: float = DEFAULT_TOL) -> SampleSet:
     """Inner products of f against every iterated vector.
 
-    Each value is <f, A_s^j f_s>, read off F* f with F the iterated
-    columns; the adjoint form <A_s*^j f, f_s> comes from one sweep of
-    A_s* per triple, and the two are cross-checked entry by entry.
+    Each value is <f, A_s^j f_s>, read off F* f with F the spec's iterated
+    columns (a zero iterate has the sample 0); the adjoint form
+    <A_s*^j f, f_s> comes from one sweep of A_s* per triple on every call,
+    and the two are cross-checked entry by entry.
     """
     f = as_vector(f)
     if f.shape[0] != spec.dim:
         raise DimensionMismatch(f"sample vector has dim {f.shape[0]}, expected {spec.dim}")
-    direct = iterate_columns(spec).conj().T @ f
+    direct = spec._columns.conj().T @ f
     sweeps = _orbits(tuple(a.conj().T for a in spec.operators), (f,),
                      tuple((s, 0, l) for s, _, l in spec.triples))
     gens = np.stack(spec.generators, axis=1)[:, [g for _, g, l in spec.triples
@@ -234,11 +276,7 @@ def reconstruct(spec: DynamicalSystemSpec, samples: SampleSet,
     if tuple(samples.indices) != lattice:
         raise IndexMismatch("sample index set does not match the system lattice")
     vals = np.asarray(samples.values)
-    frame = iterate(spec)
-    s_op = frame_operator(frame)
-    report = analyze_operator(s_op, tol)
-    if not report.is_frame:
-        raise NotAFrame(f"iterated system has lower bound {report.lower_bound:.3e}")
+    frame, s_op = _invertible_frame_operator(spec, tol)
     if weights is None:
         return np.linalg.solve(s_op, frame.matrix @ vals)
 

@@ -112,10 +112,19 @@ def analyze_operator(s, tol: float = DEFAULT_TOL) -> FrameReport:
     exactly Hermitian); a LAPACK failure raises NumericalFailure.
     Callers that go on to solve with S form it once and pass it here.
     """
+    return _report(_eigenvalues(s), tol)
+
+
+def _eigenvalues(s) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian S; a LAPACK failure is a NumericalFailure."""
     try:
-        lam = np.linalg.eigvalsh(s)
+        return np.linalg.eigvalsh(s)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
+
+
+def _report(lam, tol: float) -> FrameReport:
+    """The frame report read off the ascending eigenvalues lam of S."""
     lower = float(lam[0])
     upper = float(lam[-1])
     is_frame = lower > tol

@@ -7,6 +7,7 @@ identical bytes.
 """
 
 import json
+import sys
 
 import numpy as np
 
@@ -82,13 +83,17 @@ def _entry_to_json(x, field):
 def _entry_from_json(x, field, where):
     if isinstance(x, bool):
         raise InputError(f"{where}: boolean is not a number")
-    if isinstance(x, (int, float)):
-        return complex(x) if field == "complex" else float(x)
-    if isinstance(x, list) and len(x) == 2 and all(
-            isinstance(t, (int, float)) and not isinstance(t, bool) for t in x):
-        if field == "real":
-            raise InputError(f"{where}: [re, im] pair in a real-field object")
-        return complex(x[0], x[1])
+    try:
+        if isinstance(x, (int, float)):
+            return complex(x) if field == "complex" else float(x)
+        if isinstance(x, list) and len(x) == 2 and all(
+                isinstance(t, (int, float)) and not isinstance(t, bool) for t in x):
+            if field == "real":
+                raise InputError(f"{where}: [re, im] pair in a real-field object")
+            return complex(x[0], x[1])
+    except OverflowError:
+        # JSON integers are unbounded; float() refuses one past the float range
+        raise InputError(f"{where}: number beyond the float range") from None
     raise InputError(f"{where}: entry {x!r} is not a number or [re, im] pair")
 
 
@@ -218,7 +223,8 @@ def certificate_to_json(res) -> dict:
 
 def _number(d, key) -> float:
     x = d.get(key)
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not np.isfinite(float(x)):
+    # NaN, the infinities and a JSON integer past the float range all fail the bound
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
         raise InputError(f"{key} must be a finite number")
     return float(x)
 

@@ -213,6 +213,7 @@ class TestMalformedFiles:
         ("frame", _set(("data", 0, 0), True)),
         ("frame", _set(("data", 0, 0), "1.0")),
         ("frame", _set(("data", 0, 0), float("nan"))),
+        ("frame", _set(("data", 0, 0), 10 ** 400)),
         ("system", _replace([])),
         ("system", _drop("triples")),
         ("system", _set(("field",), "quaternion")),
@@ -226,6 +227,7 @@ class TestMalformedFiles:
         ("samples", _set(("values",), [1.0])),
         ("samples", _set(("indices", 0), [0])),
         ("samples", _set(("indices", 1), [0, 1.0])),
+        ("samples", _set(("values", 1), 10 ** 400)),
         ("certificate", _replace([0.8, 0.8, 0.8])),
         ("certificate", _drop("margin")),
         ("certificate", _set(("weights", 1), -0.8)),
@@ -234,12 +236,12 @@ class TestMalformedFiles:
         ("witness", _drop("witness_check")),
     ], ids=["frame-missing-key", "frame-unknown-field", "frame-not-object",
             "frame-row-count", "frame-row-length", "frame-pair-in-real",
-            "frame-boolean-entry", "frame-string-entry", "frame-nan",
+            "frame-boolean-entry", "frame-string-entry", "frame-nan", "frame-out-of-range",
             "system-not-object", "system-missing-key", "system-unknown-field",
             "system-no-operators", "system-no-generators", "system-empty-vector",
             "system-no-triples", "samples-not-object", "samples-missing-key",
-            "samples-unknown-field", "samples-length-mismatch",
-            "samples-short-index", "samples-float-index", "certificate-not-object",
+            "samples-unknown-field", "samples-length-mismatch", "samples-short-index",
+            "samples-float-index", "samples-out-of-range", "certificate-not-object",
             "certificate-missing-key", "certificate-negative-weight", "certificate-nan-weight",
             "certificate-strict-not-boolean", "witness-missing-check"])
     def test_rejected_with_input_error(self, kind, edit, mercedes, tmp_path, capsys):
@@ -257,6 +259,8 @@ class TestMalformedFiles:
         ("certificate", "residual", "0.5"),
         ("certificate", "margin", True),
         ("certificate", "margin", float("inf")),
+        pytest.param("certificate", "tight_constant", 10 ** 400,
+                     id="certificate-tight_constant-out-of-range"),
         ("witness", "witness_check", True),
     ])
     def test_certificate_numbers_must_be_finite(self, kind, key, value, mercedes,

@@ -111,6 +111,64 @@ class TestIterate:
             iterate(spec)
 
 
+class TestSpecMemo:
+    def test_one_orbit_per_spec(self, rng, monkeypatch):
+        made = []
+
+        def columns(spec):
+            made.append(spec)
+            return iterate_columns(spec)
+
+        monkeypatch.setattr(dynamics, "iterate_columns", columns)
+        spec = one_vector_spec()
+        f = rng.standard_normal(2)
+        frame = iterate(spec)
+        dual = dynamical_dual(spec)
+        samples = take_samples(spec, f)
+        via_dual = reconstruct(spec, samples)
+        via_weights = reconstruct(spec, samples, weights=np.ones(4))
+        assert len(made) == 1 and made[0] is spec
+        assert iterate(spec) is frame
+        assert np.allclose(dual.frame_op, np.eye(2))
+        assert np.linalg.norm(via_dual - f) < 1e-12
+        assert np.linalg.norm(via_weights - f) < 1e-12
+
+    def test_kept_arrays_are_read_only(self):
+        spec = shift_spec(3)
+        for kept in (iterate(spec).matrix, dynamical_dual(spec).frame_op):
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0, 0] = 5.0
+        assert np.array_equal(dynamical_dual(spec).frame_op, np.diag([2.0, 1.0, 1.0]))
+
+    def test_later_writes_to_the_inputs_do_not_reach_it(self):
+        a = companion(CompanionSpec((1.0, 0.0, 0.0)))
+        f = E1_3.copy()
+        spec = DynamicalSystemSpec.single(a, f, 3)
+        expect = column_stack_reference(shift_spec(3))
+        a[:] = 7.0
+        f[:] = 9.0
+        assert np.array_equal(iterate(spec).matrix, expect)
+        a[:] = -1.0
+        f[:] = -2.0
+        assert np.array_equal(iterate(spec).matrix, expect)
+
+    def test_sample_cross_check_runs_on_every_call(self, rng, monkeypatch):
+        spec = two_operator_spec(rng)
+        f = rng.standard_normal(3)
+        take_samples(spec, f)
+        orbits = dynamics._orbits
+
+        def skewed(*args):
+            # the kept columns stay right; only the adjoint sweep is off
+            out = orbits(*args)
+            out[:, -1] += 1e-3
+            return out
+
+        monkeypatch.setattr(dynamics, "_orbits", skewed)
+        with pytest.raises(NumericalFailure, match=r"cross-check failed at \(s=1, j=3\)"):
+            take_samples(spec, f)
+
+
 class TestIterateColumns:
     @staticmethod
     def _assert_bit_identical(spec):
@@ -243,6 +301,15 @@ class TestTakeSamples:
     def test_zero_vector_samples(self):
         samples = take_samples(shift_spec(3), np.zeros(3))
         assert np.allclose(samples.values, 0.0)
+
+    def test_nilpotent_orbit_samples(self):
+        # a zero iterate is no frame vector, but it still has a sample; and
+        # iterate's refusal is not remembered, so it is raised on every call
+        spec = DynamicalSystemSpec.single(np.eye(3, k=-1), E1_3, 3)
+        for _ in range(2):
+            with pytest.raises(ZeroVector, match="vector 3 is zero"):
+                iterate(spec)
+            assert take_samples(spec, [1, 2, 3]).values == (1.0, 2.0, 3.0, 0.0)
 
     def test_parseval_identity(self, rng):
         spec = harmonic(3, 5)
