@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (DimensionMismatch, IndexMismatch, NotAFrame, NumericalFailure,
                      SingularTransport, ZeroVector)
 from .frames import Frame, _eigenvalues, _report, frame_operator
-from .numkernel import DEFAULT_TOL, as_matrix, as_vector, fro, unitary_diagonalize
+from .numkernel import DEFAULT_TOL, _freeze, as_matrix, as_vector, fro, unitary_diagonalize
 
 
 @dataclass(frozen=True)
@@ -81,16 +81,15 @@ class DynamicalSystemSpec:
             out.extend((s, j) for j in range(l + 1))
         return tuple(out)
 
-    # The memos below are read-only arrays derived from read-only fields of
-    # a frozen spec, so none can go stale.  A member that raises (a zero
-    # iterate makes no Frame) keeps nothing and raises again on the next use.
+    # The memos below are read-only arrays derived from the fields of a
+    # frozen spec, which are read-only copies that no caller holds, so none
+    # can go stale.  A member that raises (a zero iterate makes no Frame)
+    # keeps nothing and raises again on the next use.
 
     @cached_property
     def _columns(self) -> np.ndarray:
         """The iterated columns, zero iterates kept."""
-        columns = iterate_columns(self)
-        columns.setflags(write=False)  # Frame keeps a read-only array without a copy
-        return columns
+        return _freeze(iterate_columns(self))  # so that _frame keeps it without a copy
 
     @cached_property
     def _frame(self) -> Frame:
@@ -100,10 +99,7 @@ class DynamicalSystemSpec:
     def _spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
         """The frame operator S = F F* and its ascending eigenvalues."""
         s_op = frame_operator(self._frame)
-        lam = _eigenvalues(s_op)
-        s_op.setflags(write=False)
-        lam.setflags(write=False)
-        return s_op, lam
+        return _freeze(s_op), _freeze(_eigenvalues(s_op))
 
 
 @dataclass(frozen=True)

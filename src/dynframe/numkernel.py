@@ -2,11 +2,20 @@
 
 Field-tagged scalars live in plain numpy arrays (float64 = real,
 complex128 = complex).  Everything here is a pure function over small
-dense matrices; the only state is the HiGHS binding, loaded on the first
-LP.
+dense matrices.  Two compiled modules that scipy bundles do the work
+numpy has no routine for: HiGHS (scipy.optimize._highspy._core) solves
+the LPs, and LAPACK's zgees (scipy.linalg._flapack) gives the Schur form
+of a non-Hermitian normal matrix.  Each is loaded from its file on first
+use, without importing scipy, scipy.optimize or scipy.linalg, whose
+package imports cost far more memory and time than the routines.
 """
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,6 +51,20 @@ def field_of(arr) -> str:
     return "complex" if np.iscomplexobj(arr) else "real"
 
 
+# The read-only arrays made and frozen here, by id: only these are kept
+# without a copy.  An entry goes when its array does, so an id cannot
+# outlive the array it names.
+_OWN = weakref.WeakValueDictionary()
+
+
+def _freeze(a):
+    """Make a, a fresh array of dynframe's, read-only and mark it as one
+    that as_matrix and as_vector keep without a copy; returns a."""
+    a.setflags(write=False)
+    _OWN[id(a)] = a
+    return a
+
+
 def _frozen(data, field, ndim, kind):
     dtype = complex if field == "complex" else (float if field == "real" else None)
     a = data if _kept(data, dtype) else np.array(data, dtype=dtype)
@@ -51,21 +74,19 @@ def _frozen(data, field, ndim, kind):
         a = a.astype(complex if np.iscomplexobj(a) else float)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{kind} entries must be finite")
-    a.setflags(write=False)
-    return a
+    return a if a is data else _freeze(a)
 
 
 def _kept(data, dtype) -> bool:
-    """Whether data is kept without a copy: a float64 or complex128 array
-    (of the field asked for) that is read-only and owns its data, as the
-    arrays frozen here are.  A writable array, or a read-only view of one,
-    is copied, so that later writes to the caller's array cannot reach it."""
-    return (isinstance(data, np.ndarray) and not data.flags.writeable and data.flags.owndata
-            and data.dtype in ((np.float64, np.complex128) if dtype is None else (np.dtype(dtype),)))
+    """Whether data is kept without a copy: an array that _freeze froze (of
+    the field asked for).  A caller's array is always copied, read-only or
+    not: the caller can make it writable again and write to it."""
+    return _OWN.get(id(data)) is data and (dtype is None or data.dtype == dtype)
 
 
 def as_matrix(data, field=None):
-    """Validate and freeze a 2-d array; entries must be finite."""
+    """A read-only float64 or complex128 copy of a 2-d array; entries must be
+    finite.  An array that dynframe froze itself is returned without a copy."""
     return _frozen(data, field, 2, "matrix")
 
 
@@ -114,11 +135,14 @@ def unitary_diagonalize(a, tol: float = DEFAULT_TOL):
     Output stays real-typed when a is symmetric real; otherwise it is
     complex (rotations and other real normal matrices have non-real
     spectra).  Eigenvalues are ordered by descending real part, ties
-    broken by descending imaginary part.
+    broken by descending imaginary part.  A non-finite entry raises
+    NumericalFailure.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("unitary_diagonalize needs a square matrix")
+    if not np.all(np.isfinite(a)):
+        raise NumericalFailure("array must not contain infs or NaNs")
     comm = a @ a.conj().T - a.conj().T @ a
     if fro(comm) > tol * max(1.0, fro(a) ** 2):
         raise NotNormal(f"commutator norm {fro(comm):.3e} exceeds tolerance")
@@ -127,11 +151,15 @@ def unitary_diagonalize(a, tol: float = DEFAULT_TOL):
         lam, u = hermitian_eig(a, tol)
         return u, np.diag(lam).astype(u.dtype)
 
-    import scipy.linalg  # here, so that importing dynframe does not load scipy
-    try:
-        t, u = scipy.linalg.schur(a.astype(complex), output="complex")
-    except Exception as exc:  # LAPACK failures surface as various types
-        raise NumericalFailure(str(exc)) from exc
+    # complex Schur form a = U T U*, as scipy.linalg.schur(a, output="complex")
+    # computes it: a workspace query, then zgees without sorting
+    zgees = _extension("scipy.linalg._flapack").zgees
+    a1 = a.astype(complex)
+    lwork = zgees(lambda x: None, a1, lwork=-1)[-2][0].real.astype(np.int_)
+    result = zgees(lambda x: None, a1, lwork=lwork, overwrite_a=False, sort_t=0)
+    if result[-1] != 0:
+        raise NumericalFailure(f"Schur form not found (zgees info {result[-1]})")
+    t, u = result[0], result[-3]
     d = np.diag(t).copy()
     order = _canonical_order(d)
     u = u[:, order]
@@ -183,12 +211,44 @@ class LPResult:
     x: Optional[np.ndarray]
 
 
+def _extension(name):
+    """The compiled module name, a dotted path under scipy, loaded from its
+    file without importing the packages above it.
+
+    The module goes into sys.modules under name before it runs, so a later
+    import of scipy.optimize or scipy.linalg finds it there and does not
+    initialise the extension again.  That import does not bind it as an
+    attribute of its package: `from scipy.optimize._highspy import _core`
+    finds it, while the attribute chain scipy.optimize._highspy._core
+    raises AttributeError.
+    """
+    module = sys.modules.get(name)
+    if module is not None:
+        return module
+    root, *parts = name.split(".")
+    found = importlib.util.find_spec(root)  # locates scipy, does not import it
+    for base in found.submodule_search_locations if found else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(base, *parts) + suffix
+            if os.path.isfile(path):
+                spec = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(spec)
+                sys.modules[name] = module
+                try:
+                    spec.loader.exec_module(module)
+                except BaseException:
+                    del sys.modules[name]
+                    raise
+                return module
+    raise ImportError(f"no compiled module {name} under {root}", name=name)
+
+
 @functools.lru_cache(maxsize=None)
 def _highs():
     """The HiGHS binding that scipy bundles, and scipy's status code for
-    each HiGHS model status; imported on first use, so that commands that
-    never solve an LP do not load scipy."""
-    from scipy.optimize._highspy import _core
+    each HiGHS model status; loaded on first use, from the same file that
+    scipy.optimize.linprog(method="highs") runs."""
+    _core = _extension("scipy.optimize._highspy._core")
 
     s = _core.HighsModelStatus
     codes = {s.kOptimal: 0, s.kTimeLimit: 1, s.kIterationLimit: 1,

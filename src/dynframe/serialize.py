@@ -7,6 +7,7 @@ identical bytes.
 """
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -85,16 +86,21 @@ def _entry_from_json(x, field, where):
         raise InputError(f"{where}: boolean is not a number")
     try:
         if isinstance(x, (int, float)):
-            return complex(x) if field == "complex" else float(x)
-        if isinstance(x, list) and len(x) == 2 and all(
+            value = complex(x) if field == "complex" else float(x)
+        elif isinstance(x, list) and len(x) == 2 and all(
                 isinstance(t, (int, float)) and not isinstance(t, bool) for t in x):
             if field == "real":
                 raise InputError(f"{where}: [re, im] pair in a real-field object")
-            return complex(x[0], x[1])
+            value = complex(x[0], x[1])
+        else:
+            raise InputError(f"{where}: entry {x!r} is not a number or [re, im] pair")
     except OverflowError:
         # JSON integers are unbounded; float() refuses one past the float range
         raise InputError(f"{where}: number beyond the float range") from None
-    raise InputError(f"{where}: entry {x!r} is not a number or [re, im] pair")
+    # json reads NaN, Infinity and a float literal such as 1e400 as non-finite
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise InputError(f"{where}: {x!r} is not finite")
+    return value
 
 
 def matrix_to_json(m) -> dict:

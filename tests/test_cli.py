@@ -1,7 +1,9 @@
+import ast
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from dynframe.cli import main
 from dynframe.dynamics import iterate, take_samples
 from dynframe.errors import InputError, NumericalFailure
 from dynframe.frames import verify_duality
+from dynframe.instances import random_scalable_frame
 from dynframe.scalability import scaling_residual
 from dynframe.verify import SuiteResult
 
@@ -79,10 +82,11 @@ class TestPipeline:
         assert run(capsys, "--help")[0] == 0
 
     @staticmethod
-    def _scipy_modules_after(statement):
-        # a fresh interpreter runs statement, then lists the scipy modules
-        code = (f"import sys, dynframe.cli; {statement}; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    def _scipy_modules_after(statement, then="pass"):
+        # a fresh interpreter runs statement, lists the scipy modules, then runs then
+        code = "\n".join(["import sys, dynframe.cli", statement,
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                          then])
         src = os.path.dirname(os.path.dirname(dynframe.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
@@ -91,7 +95,7 @@ class TestPipeline:
         return out.strip()
 
     def test_import_loads_no_scipy(self):
-        # scipy is imported only by the LP and the Schur branch, on first use
+        # only the LP and the Schur branch load scipy's compiled modules, on first use
         assert self._scipy_modules_after("pass") == "[]"
 
     def test_scale_of_a_tight_frame_loads_no_scipy(self, tmp_path, capsys):
@@ -106,6 +110,53 @@ class TestPipeline:
                  f"code = dynframe.cli.main(['scale', {frame_path!r}]); "
                  "sys.stdout = out; assert code == 0")
         assert self._scipy_modules_after(scale) == "[]"
+
+    def test_lp_and_schur_load_only_two_compiled_modules(self, tmp_path):
+        # an overcomplete 6x25 frame reaches the LP, a rotation the Schur
+        # form; each loads its compiled module from its file, and neither
+        # scipy, scipy.optimize nor scipy.linalg is imported
+        frame_path = str(tmp_path / "frame.json")
+        frame, _ = random_scalable_frame(np.random.default_rng(6000), 6, 25)
+        ser.write_json(frame_path, ser.frame_to_json(frame))
+        statement = "\n".join([
+            "import io, json, numpy as np",
+            "from dynframe import numkernel",
+            "from dynframe.scalability import normal_scalability",
+            "lps, solve = [], numkernel.linprog",
+            "def recorded(c, **kwargs):",
+            "    lps.append((c, kwargs))",
+            "    return solve(c, **kwargs)",
+            "numkernel.linprog = recorded",
+            "out, sys.stdout = sys.stdout, io.StringIO()",
+            f"code = dynframe.cli.main(['scale', {frame_path!r}])",
+            "sys.stdout = out",
+            "rot = np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]])",
+            "strict = normal_scalability(rot, [np.array([1.0, 0.0])], [3]).strict"])
+        # then the packages load, and find the same modules in sys.modules
+        then = "\n".join([
+            "import scipy.optimize, scipy.linalg",
+            "from scipy.optimize._highspy import _core",
+            "c, kwargs = lps[0]",
+            "mine = solve(c, **kwargs)",
+            "ref = scipy.optimize.linprog(c, method='highs', options=numkernel._LP_OPTIONS,"
+            " **kwargs)",
+            "print(json.dumps({'code': code, 'strict': strict, 'lps': len(lps),",
+            "    'same_core': _core is numkernel._highs()[0],",
+            "    'same_lapack': scipy.linalg.lapack._flapack",
+            "                   is numkernel._extension('scipy.linalg._flapack'),",
+            "    'status': [mine.status, int(ref.status)], 'nit': [mine.nit, int(ref.nit)],",
+            "    'dx': float(np.max(np.abs(mine.x - ref.x)))}))"])
+        modules, report = self._scipy_modules_after(statement, then).splitlines()
+        modules = ast.literal_eval(modules)
+        extensions = ("scipy.optimize._highspy._core", "scipy.linalg._flapack")
+        assert set(extensions) <= set(modules)
+        assert all(m.startswith(extensions) for m in modules)
+        assert not {"scipy", "scipy.optimize", "scipy.linalg"} & set(modules)
+        report = json.loads(report)
+        assert report["code"] == 0 and report["strict"] and report["lps"] >= 1
+        assert report["same_core"] and report["same_lapack"]
+        assert report["status"] == [0, 0] and report["nit"][0] == report["nit"][1]
+        assert report["dx"] <= 1e-12
 
 
 def _system_dict():
@@ -405,6 +456,25 @@ class TestReconstruct:
         code, _, err = run(capsys, "reconstruct", sys_path, s_path)
         assert code == 2
         assert "index" in err.lower()
+
+    @pytest.mark.parametrize("field, value", [
+        ("real", "1e400"), ("real", "NaN"), ("real", "-Infinity"), ("complex", "Infinity"),
+        ("complex", "[0.5, 1e400]"), ("complex", "[NaN, 0]")])
+    def test_non_finite_sample_names_its_entry(self, mercedes, tmp_path, capsys, field, value):
+        # json reads these as inf or nan; the reader rejects them before any
+        # arithmetic, so no numpy warning comes first
+        sys_path, _ = mercedes
+        lattice = ser.system_from_json(ser.read_json(sys_path)).lattice()
+        samples = {"field": field, "indices": [list(p) for p in lattice],
+                   "values": ["first"] + [0.5] * (len(lattice) - 1)}
+        s_path = tmp_path / "samples.json"
+        s_path.write_text(json.dumps(samples).replace('"first"', value))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "reconstruct", sys_path, str(s_path))
+        assert code == 2 and out == ""
+        assert "error: sample 0: " in err and "is not finite" in err
+        assert caught == []
 
     def test_multicolumn_simulate_rejected(self, mercedes, tmp_path, capsys):
         sys_path, _ = mercedes

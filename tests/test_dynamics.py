@@ -152,6 +152,23 @@ class TestSpecMemo:
         f[:] = -2.0
         assert np.array_equal(iterate(spec).matrix, expect)
 
+    def test_later_writes_to_frozen_inputs_do_not_reach_it(self):
+        # a read-only input is copied too: its owner can make it writable
+        a, e1 = np.eye(2), np.array([1.0, 0.0])
+        a.setflags(write=False)
+        e1.setflags(write=False)
+        spec = DynamicalSystemSpec.single(a, e1, 1)
+        frame = iterate(spec)
+        for arr in (a, e1):
+            arr.setflags(write=True)
+            arr[0] = 5.0
+        assert np.array_equal(spec.operators[0], np.eye(2))
+        assert np.array_equal(spec.generators[0], [1.0, 0.0])
+        assert iterate(spec) is frame
+        assert np.array_equal(frame.matrix, [[1.0, 1.0], [0.0, 0.0]])
+        # the memo keeps one copy of the columns
+        assert frame.matrix is spec._columns
+
     def test_sample_cross_check_runs_on_every_call(self, rng, monkeypatch):
         spec = two_operator_spec(rng)
         f = rng.standard_normal(3)

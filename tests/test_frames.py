@@ -8,7 +8,7 @@ from dynframe.errors import (DimensionMismatch, NotAFrame, NumericalFailure,
 from dynframe.frames import (Frame, analyze, canonical_dual, frame_operator,
                              fusion_check, verify_duality)
 from dynframe.instances import random_frame
-from dynframe.numkernel import hermitian_eig
+from dynframe.numkernel import _freeze, hermitian_eig
 
 
 def cols(*vectors):
@@ -43,19 +43,24 @@ class TestFrameType:
         assert fr.matrix is not view
         assert fr.matrix[0, 0] == 1.0
 
-    def test_keeps_a_frozen_array(self):
+    def test_copies_a_frozen_array(self):
+        # the caller can make its read-only array writable again, so it is
+        # copied; only an array that dynframe froze is kept
         a = np.eye(2)
         a.setflags(write=False)
-        assert Frame(a).matrix is a
-        assert Frame(Frame(a).matrix).matrix is a
+        fr = Frame(a)
+        assert fr.matrix is not a
+        a.setflags(write=True)
+        a[0, 0] = 5.0
+        assert fr.matrix[0, 0] == 1.0
+        assert Frame(fr.matrix).matrix is fr.matrix
 
     def test_checks_a_kept_array(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        bad.setflags(write=False)
+        # an array that dynframe froze itself, as a spec does with its orbit
+        bad = _freeze(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="finite"):
             Frame(bad)
-        zero = np.array([[1.0, 0.0], [0.0, 0.0]])
-        zero.setflags(write=False)
+        zero = _freeze(np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ZeroVector):
             Frame(zero)
 

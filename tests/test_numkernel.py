@@ -89,6 +89,32 @@ class TestUnitaryDiagonalize:
             assert fro(d - np.diag(np.diag(d))) == 0.0
 
 
+class TestSchurReference:
+    """unitary_diagonalize calls LAPACK's zgees as scipy.linalg.schur does; on
+    a normal matrix that is not Hermitian it must answer exactly as
+    scipy.linalg.schur(a, output="complex") and then _canonical_order."""
+
+    def test_bitwise_equal_to_scipy_schur(self, rng):
+        import scipy.linalg
+        checked = 0
+        while checked < 120:
+            n = int(rng.integers(1, 19))
+            a = random_normal_matrix(rng, n, field="complex" if checked % 2 else "real")
+            if fro(a - a.conj().T) <= DEFAULT_TOL * max(1.0, fro(a)):
+                continue  # Hermitian: eigh decides it, not the Schur form
+            u, d = unitary_diagonalize(a)
+            t, z = scipy.linalg.schur(a.astype(complex), output="complex")
+            order = numkernel._canonical_order(np.diag(t))
+            assert np.array_equal(u, z[:, order])
+            assert np.array_equal(d, np.diag(np.diag(t)[order]))
+            checked += 1
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input(self, bad):
+        with pytest.raises(NumericalFailure, match="infs or NaNs"):
+            unitary_diagonalize(np.array([[0.0, -1.0], [1.0, bad]]))
+
+
 class TestSvdRank:
     def test_rank_one_projector(self):
         s, rank, basis = svd_rank(np.array([[1.0, 0.0], [0.0, 0.0]]))
@@ -286,7 +312,11 @@ class TestFrozen:
         a.setflags(write=False)
         m = as_matrix(a, field="complex")
         assert m.dtype == np.complex128 and m is not a
-        assert as_matrix(a, field="real") is a
+        assert as_matrix(a, field="real") is not a
+        # an array frozen here is kept, unless the field asked for differs
+        own = as_matrix(a)
+        assert as_matrix(own) is own and as_matrix(own, field="real") is own
+        assert as_matrix(own, field="complex") is not own
 
 
 class TestInnerConvention:
