@@ -24,8 +24,8 @@ from .scalability import (DiagonalScalingSystem, DiagramVector,
                           ScalingCertificate, build_diagonal_system,
                           diagram_vector, gramian_scaling_check,
                           normal_scalability, real_one_vector_obstruction,
-                          solve_diagonal_system, solve_scaling,
-                          support_pattern_check, tight_via_diagram)
+                          solve_scaling, support_pattern_check,
+                          tight_via_diagram)
 from .constructions import (BlockDiagSpec, CompanionSpec, TwoParamBlock,
                             block_diag, check_2scale, check_2x4, companion,
                             embed, harmonic, multigen_rotation, r3_structured,
@@ -48,8 +48,7 @@ __all__ = [
     "DiagonalScalingSystem", "DiagramVector", "ScalingCertificate",
     "build_diagonal_system", "diagram_vector", "gramian_scaling_check",
     "normal_scalability", "real_one_vector_obstruction",
-    "solve_diagonal_system", "solve_scaling", "support_pattern_check",
-    "tight_via_diagram",
+    "solve_scaling", "support_pattern_check", "tight_via_diagram",
     "BlockDiagSpec", "CompanionSpec", "TwoParamBlock", "block_diag",
     "check_2scale", "check_2x4", "companion", "embed", "harmonic",
     "multigen_rotation", "r3_structured", "rotation_system", "tight_2x3",

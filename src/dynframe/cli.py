@@ -159,14 +159,10 @@ def _preset_system(args) -> DynamicalSystemSpec:
         e1 = np.zeros(n)
         e1[0] = 1.0
         iters = args.iters if args.iters is not None else n + 1
-        if iters < 0:
-            raise InputError("--iters must be nonnegative")
         return DynamicalSystemSpec.single(op, e1, iters)
 
     if args.preset == "block":
         omegas = _csv_floats(args.omegas, "--omegas")
-        if not omegas:
-            raise InputError("--omegas needs at least one angle")
         blocks = []
         for w in omegas:
             cw, sw = np.cos(w), np.sin(w)

@@ -30,10 +30,15 @@ class Frame:
         m = as_matrix(self.matrix)
         if m.shape[1] == 0:
             raise ValueError("a frame needs at least one vector")
-        norms = np.linalg.norm(m, axis=0)
-        if np.any(norms == 0.0):
-            bad = int(np.argmin(norms))
-            raise ZeroVector(f"vector {bad} is zero")
+        with np.errstate(over="ignore", under="ignore"):  # later steps square the columns
+            squares = np.sum(np.abs(m) ** 2, axis=0)
+        out = (squares < np.finfo(float).tiny) | np.isinf(squares)
+        if out.any():
+            bad = int(np.argmax(out))
+            if not m[:, bad].any():
+                raise ZeroVector(f"vector {bad} is zero")
+            raise ValueError(f"vector {bad} has squared norm {squares[bad]:.3e}, "
+                             f"outside the normal float range")
         object.__setattr__(self, "matrix", m)
 
     @classmethod

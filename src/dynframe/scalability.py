@@ -33,6 +33,10 @@ these routes, in this order (_solve):
 
 The agreement of the solver and the oracle is a checked invariant,
 never assumed.
+
+For normal A = U D U*, normal_scalability solves the diagonal model
+{D^j U* f_s} (diagonal_reduce), iterated like any other spec, by these
+routes; build_diagonal_system gives its rows as an LP-only reference.
 """
 
 from dataclasses import dataclass, replace
@@ -41,6 +45,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import DynamicalSystemSpec, diagonal_reduce, iterate_columns
 from .errors import NumericalFailure, ShapeMismatch, TemplateMismatch, ZeroVector
 from .frames import Frame
 from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, as_vector, fro,
@@ -103,9 +108,6 @@ class DiagonalScalingSystem:
     then, over a complex field, the imaginary parts for those pairs.
     """
 
-    diag: np.ndarray         # a_1..a_n
-    generators: tuple        # coordinate vectors x_s
-    iters: tuple             # L_s per generator
     matrix: np.ndarray       # real equality matrix
     rhs: np.ndarray
     unknown_index: tuple     # ((s, j), ...) column labels
@@ -598,12 +600,6 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     return gram, null_basis, isinstance(res, Feasible)
 
 
-def _diagonal_columns(a, generators, unknown_index) -> np.ndarray:
-    """The vectors D^j v_s, D = diag(a), as columns in unknown_index order."""
-    s, j = np.array(unknown_index).T
-    return np.stack(generators, axis=1)[:, s] * np.asarray(a)[:, None] ** j
-
-
 def build_diagonal_system(a, generators, iters) -> DiagonalScalingSystem:
     """Weight equations for the frame {D^j v_s} with D = diag(a).
 
@@ -611,58 +607,36 @@ def build_diagonal_system(a, generators, iters) -> DiagonalScalingSystem:
     each pair i<j demands sum_s x_s(i) conj(x_s(j)) sum_j w^2_{s,j}
     (a_i conj(a_j))^j = 0, split into real and imaginary parts over a
     complex field.  These are the rows _scaling_system gives for the
-    columns D^j v_s.
+    columns D^j v_s of the spec (D, v_s, L_s), which checks its inputs.
     """
-    a = as_vector(a)
-    n = a.shape[0]
-    gens = tuple(as_vector(v) for v in generators)
-    iters = tuple(int(l) for l in iters)
+    gens, iters = tuple(generators), tuple(iters)
     if not gens:
         raise ShapeMismatch("need at least one generator")
     if len(iters) != len(gens):
         raise ShapeMismatch(f"{len(iters)} iteration counts for {len(gens)} generators")
-    for s, v in enumerate(gens):
-        if v.shape[0] != n:
-            raise ShapeMismatch(f"generator {s} has dim {v.shape[0]}, expected {n}")
-    if any(l < 0 for l in iters):
-        raise ValueError("iteration counts must be nonnegative")
-
-    unknowns = tuple((s, j) for s in range(len(gens)) for j in range(iters[s] + 1))
-    aeq, beq = _scaling_system(_diagonal_columns(a, gens, unknowns))
-    return DiagonalScalingSystem(diag=a, generators=gens, iters=iters, matrix=aeq,
-                                 rhs=beq, unknown_index=unknowns)
-
-
-def solve_diagonal_system(system: DiagonalScalingSystem, tol: float = DEFAULT_TOL):
-    """Decide a diagonal scaling system by solve_scaling's route on its columns D^j v_s.
-
-    Returns a certificate whose weights follow the system's unknown
-    order (which matches iterate() on the corresponding spec), or the
-    solver's witness in the system's row order.
-    """
-    return _solve(_diagonal_columns(system.diag, system.generators, system.unknown_index), tol)
+    spec = DynamicalSystemSpec(operators=(np.diag(a),), generators=gens,
+                               triples=tuple((0, s, l) for s, l in enumerate(iters)))
+    aeq, beq = _scaling_system(iterate_columns(spec))
+    return DiagonalScalingSystem(matrix=aeq, rhs=beq, unknown_index=spec.lattice())
 
 
 def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
     """Scalability of {A^j f_s} for normal A, via the diagonal model.
 
-    Diagonalizes A = U D U* and solves the scaling system of the columns
-    D^j v_s on the rotated generators v_s = U* f_s, by the route of
-    solve_scaling: closed form, then the split into disjoint-support
-    components with 2-D components decided by their doubled-angle gaps,
-    then the LP.  The split reads the zeros of the diagonal-model
-    columns, so blocks of A decouple even when the eigenvalue order
-    interleaves them.  Weights transfer verbatim to the original iterates
-    A^j f_s, where the certificate residual is evaluated again.
+    Diagonalizes A = U D U* (diagonal_reduce) and solves the scaling
+    system of the reduced system's iterates D^j v_s, v_s = U* f_s, by the
+    route of solve_scaling: closed form, then the split into
+    disjoint-support components with 2-D components decided by their
+    doubled-angle gaps, then the LP.  The split reads the zeros of the
+    diagonal-model columns, so blocks of A decouple even when the
+    eigenvalue order interleaves them.  Weights transfer verbatim to the
+    original iterates A^j f_s, where the certificate residual is
+    evaluated again.
     """
-    from .dynamics import DynamicalSystemSpec, diagonal_reduce, iterate_columns
-
-    gens = tuple(as_vector(f) for f in generators)
-    iters = tuple(int(l) for l in iters)
-    spec = DynamicalSystemSpec(operators=(a,), generators=gens,
+    spec = DynamicalSystemSpec(operators=(a,), generators=generators,
                                triples=tuple((0, s, l) for s, l in enumerate(iters)))
-    _, d, reduced = diagonal_reduce(spec, tol)
-    res = _solve(_diagonal_columns(np.diag(d), reduced.generators, spec.lattice()), tol)
+    _, _, reduced = diagonal_reduce(spec, tol)
+    res = _solve(iterate_columns(reduced), tol)
     if isinstance(res, InfeasibleWitness):
         return res
     residual = scaling_residual(iterate_columns(spec), res.squares)

@@ -373,6 +373,21 @@ class TestScale:
         assert code == 3
         assert "oracle" in err
 
+    @pytest.mark.parametrize("command", ["scale", "analyze"])
+    @pytest.mark.parametrize("columns, bad", [
+        ([[1e160, 0.0], [0.0, 1e160], [1e160, 1e160]], 0),     # |f_i|^2 overflows
+        ([[1e-160, 0.0], [0.0, 1e-160], [1e-160, 1e-160]], 0),  # weights would be 1e320
+        ([[1.0, 0.0], [0.0, 1.0], [1e-300, 1e-300]], 2)])       # nonzero, |f_2|^2 underflows
+    def test_squared_norm_outside_the_float_range(self, tmp_path, capsys, command,
+                                                  columns, bad):
+        path = frame_file(tmp_path, "scaled.json", columns)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, command, path)
+        assert code == 2 and out == ""
+        assert f"error: vector {bad} has squared norm" in err
+        assert caught == []
+
 
 class TestDual:
     def test_dual_system_round_trip(self, tmp_path, capsys):
@@ -547,8 +562,11 @@ class TestConstructPresets:
         assert run(capsys, "construct", "companion", "--coeffs", "0,0")[0] == 2
         assert run(capsys, "construct", "harmonic", "--n", 3, "--k", 2)[0] == 2
         assert run(capsys, "construct", "multigen", "--plane", "0,0,1,1")[0] == 2
-        assert run(capsys, "construct", "companion", "--coeffs", "1,0,0",
-                   "--iters", -1)[0] == 2
+        code, _, err = run(capsys, "construct", "companion", "--coeffs", "1,0,0",
+                           "--iters", -1)
+        assert code == 2 and "iteration count -1 is negative" in err
+        code, _, err = run(capsys, "construct", "block", "--omegas", "")
+        assert code == 2 and "--omegas expects comma-separated numbers" in err
 
 
 class TestVerifyCommand:
@@ -671,3 +689,31 @@ class TestDeterminism:
                           [[1.0, 0.0], [0.0, 1.0], [s, s]])
         _, out, _ = run(capsys, "scale", path)
         assert "-0," not in out and "-0}" not in out
+
+
+class TestTracedNames:
+    # perfbench/spans.py wraps its TARGETS by name and skips a module that
+    # is not loaded, so a rename would silently drop a span; the file is
+    # read, not imported, because importing it pins the BLAS pools in
+    # os.environ
+    @staticmethod
+    def _targets():
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "spans.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        node = next(n.value for n in tree.body if isinstance(n, ast.Assign)
+                    and any(getattr(t, "id", None) == "TARGETS" for t in n.targets))
+        return [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in node.elts]
+
+    def test_every_traced_name_resolves(self):
+        import dynframe.cli  # noqa: F401  (with dynframe and dynframe.serialize, above)
+
+        targets = self._targets()
+        assert len(targets) == 27
+        for module, attr in targets:
+            assert module in sys.modules, module
+            assert callable(getattr(sys.modules[module], attr, None)), (module, attr)
+
+    def test_every_exported_name_resolves(self):
+        for name in dynframe.__all__:
+            assert hasattr(dynframe, name), name
