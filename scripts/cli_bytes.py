@@ -13,7 +13,9 @@ system that construct printed, analyze and scale read the frame gen
 printed, so every tree runs its own pipeline end to end.  Each call
 prints one line: system, command, exit code and the sha256 of its stdout.
 The systems are the README pipeline and the preset systems whose bytes
-earlier changes were checked on.
+earlier changes were checked on.  Last comes one `verify --json` call
+(seed 0, every suite at its default trial count): its exit code and
+digest, then one line per suite with its name, trial count and verdict.
 """
 
 import argparse
@@ -85,6 +87,13 @@ def pipeline(src, name, preset, cwd):
     call("reconstruct--simulate", ["reconstruct", "sys.json", "--simulate", "f.json"])
 
 
+def verify_suites(src, cwd):
+    code, out = run(src, ["verify", "--json", "--seed", "0"], cwd)
+    print(f"verify --json exit={code} sha256={hashlib.sha256(out).hexdigest()}", flush=True)
+    for suite in json.loads(out) if code in (0, 1) else []:
+        print(f"verify {suite['name']} trials={suite['trials']} passed={suite['passed']}")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("src", help="the src/ directory that holds the dynframe package")
@@ -95,6 +104,8 @@ def main():
     for name, preset in SYSTEMS:
         with tempfile.TemporaryDirectory() as cwd:
             pipeline(src, name, preset, cwd)
+    with tempfile.TemporaryDirectory() as cwd:
+        verify_suites(src, cwd)
     return 0
 
 

@@ -125,7 +125,9 @@ def cmd_dual(args, tol) -> int:
 
 def cmd_reconstruct(args, tol) -> int:
     spec = _load_system(args.system)
-    if (args.samples is None) == (args.simulate is None):
+    if args.samples is None and args.simulate is None:
+        raise InputError("give a samples file or --simulate")
+    if args.samples is not None and args.simulate is not None:
         raise InputError("give a samples file or --simulate, not both")
 
     weights = None
@@ -220,15 +222,14 @@ def cmd_construct(args, tol) -> int:
 
 def cmd_verify(args, tol) -> int:
     names = args.suite if args.suite else list(SUITE_NAMES)
+    for name in names:
+        if name != "all" and name not in SUITE_NAMES:
+            known = ", ".join(SUITE_NAMES)
+            raise InputError(f"unknown suite {name!r}; known suites: {known}")
     if "all" in names:
         names = list(SUITE_NAMES)
-    results = []
-    for name in names:
-        try:
-            results.append(run_suite(name, trials=args.trials, seed=args.seed, tol=tol))
-        except KeyError:
-            known = ", ".join(SUITE_NAMES)
-            raise InputError(f"unknown suite {name!r}; known suites: {known}") from None
+    results = [run_suite(name, trials=args.trials, seed=args.seed, tol=tol)
+               for name in names]
 
     if args.json:
         payload = [{"name": r.name, "passed": r.passed, "trials": r.trials,

@@ -18,7 +18,7 @@ from .dynamics import (DynamicalSystemSpec, dynamical_dual, iterate, take_sample
 from .errors import DynframeError
 from .frames import Frame, analyze, canonical_dual, frame_operator, fusion_check
 from .instances import (random_diagonal_data, random_frame, random_invertible,
-                        random_matrix, random_normal_matrix,
+                        random_matrix, random_normal_matrix, random_parseval,
                         random_scalable_frame, random_spec, random_unitary,
                         random_vector)
 from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, fro,
@@ -267,6 +267,8 @@ def _check_diagram_oracle(rng, t, tol):
     field = "complex" if t % 5 == 4 else "real"
     if t % 2:
         frame, _ = random_scalable_frame(rng, n, k, field=field)
+    elif t % 4 == 2:
+        frame = random_parseval(rng, n, k, field=field)
     else:
         frame = random_frame(rng, n, k, field=field)
     detail = _oracle_disagreement(frame, tol)
@@ -284,6 +286,8 @@ def _certificate_fault(frame, tol):
         return f"certificate residual {recomputed:.2e}"
     if abs(recomputed - res.residual) > tol:
         return "stored residual disagrees with recomputation"
+    if res.residual > tol:
+        return f"stored residual {res.residual:.2e} above tol"
 
 
 def _check_certificate_soundness(rng, t, tol):
@@ -317,8 +321,11 @@ def _check_witness_soundness(rng, t, tol):
         aeq, beq = _scaling_system(cols)
         if (res.y @ beq) <= tol:
             return f"trial {t}: witness gap not positive"
-        if np.max(aeq.T @ res.y) > tol:
-            return f"trial {t}: witness violates the cone inequalities"
+        # any x >= 0 solving the trace row sum_i c_i x_i = n, c_i = |f_i|^2,
+        # has y'beq <= n max_i max((y'aeq)_i, 0) / c_i, so the gap must clear it
+        bound = n * max(float(np.max((res.y @ aeq) / np.sum(cols ** 2, axis=0))), 0.0)
+        if (res.y @ beq) <= bound:
+            return f"trial {t}: witness gap does not clear its soundness bound {bound:.2e}"
     else:
         base = random_unitary(rng, n)
         extra = random_vector(rng, n)
@@ -348,7 +355,7 @@ def _check_diagonal_equivalence(rng, t, tol):
 
 def _check_unitary_scaling(rng, t, tol):
     n = int(rng.integers(2, 5))
-    k = int(rng.integers(n, 9))
+    k = int(rng.integers(n, 10))
     field = "complex" if t % 3 == 2 else "real"
     if t % 2:
         frame, _ = random_scalable_frame(rng, n, k, field=field)

@@ -17,13 +17,11 @@ import dynframe.constructions as cons
 from dynframe.dynamics import (DynamicalSystemSpec, dynamical_dual, iterate,
                                reconstruct, take_samples, transport)
 from dynframe.frames import Frame, analyze, frame_operator
-from dynframe.instances import (random_frame, random_parseval,
-                                random_scalable_frame, random_spec,
+from dynframe.instances import (random_frame, random_scalable_frame, random_spec,
                                 random_unitary, random_vector)
 from dynframe.numkernel import InfeasibleWitness, fro
-from dynframe.scalability import (ScalingCertificate, gramian_scaling_check,
-                                  scaling_residual, solve_scaling,
-                                  tight_via_diagram)
+from dynframe.scalability import ScalingCertificate, scaling_residual, solve_scaling
+from dynframe.verify import run_suite
 
 
 def _report(num, ok, detail=""):
@@ -192,29 +190,10 @@ def test_criterion_06_dual_reconstruction():
 
 
 def test_criterion_07_oracle_equivalence():
-    rng = np.random.default_rng(1007)
-    tight_splits = 0
-    feasible_splits = 0
-    for i in range(500):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(n, 11))
-        draw = rng.random()
-        if draw < 0.25:
-            frame, _ = random_scalable_frame(rng, n, k)
-        elif draw < 0.4:
-            frame = random_parseval(rng, n, k)
-        else:
-            frame = random_frame(rng, n, k)
-        if tight_via_diagram(frame) != analyze(frame).is_tight:
-            tight_splits += 1
-        _, _, oracle = gramian_scaling_check(frame)
-        if oracle != _is_cert(solve_scaling(frame)):
-            feasible_splits += 1
-    ok = tight_splits == 0 and feasible_splits == 0
-    _report(7, ok, f"500 frames, {tight_splits} tightness splits, "
-                   f"{feasible_splits} feasibility splits")
-    assert tight_splits == 0
-    assert feasible_splits == 0
+    result = run_suite("diagram-oracle", seed=1007)
+    _report(7, result.passed, f"diagram-oracle, seed 1007, {result.trials} trials: "
+                              f"{result.detail}")
+    assert result.passed, result.detail
 
 
 def test_criterion_08_block_theorem():

@@ -459,9 +459,12 @@ class TestReconstruct:
     def test_samples_and_simulate_are_exclusive(self, mercedes, tmp_path, capsys):
         sys_path, _ = mercedes
         f_path = frame_file(tmp_path, "f.json", [[1.0, 0.0]])
-        assert run(capsys, "reconstruct", sys_path, f_path,
-                   "--simulate", f_path)[0] == 2
-        assert run(capsys, "reconstruct", sys_path)[0] == 2
+        code, out, err = run(capsys, "reconstruct", sys_path, f_path, "--simulate", f_path)
+        assert (code, out) == (2, "")
+        assert err == "error: give a samples file or --simulate, not both\n"
+        code, out, err = run(capsys, "reconstruct", sys_path)
+        assert (code, out) == (2, "")
+        assert err == "error: give a samples file or --simulate\n"
 
     def test_missing_sample_index(self, mercedes, tmp_path, capsys):
         sys_path, _ = mercedes
@@ -592,6 +595,9 @@ class TestVerifyCommand:
         code, _, err = run(capsys, "verify", "--suite", "no-such-suite")
         assert code == 2
         assert "frame-inequality" in err
+        code, out, err = run(capsys, "verify", "--suite", "all", "--suite", "nope")
+        assert (code, out) == (2, "")
+        assert "unknown suite 'nope'; known suites: eig-roundtrip" in err
 
     def test_failing_suite_exits_false(self, capsys, monkeypatch):
         def fake(name, trials=None, seed=0, tol=0.0):
@@ -627,10 +633,16 @@ class TestVerifyCommand:
             verify.run_suite("dual-identity", trials=trials)
 
     @pytest.mark.parametrize("name", verify.SUITE_NAMES)
-    def test_every_suite_passes_three_trials(self, name):
-        result = verify.run_suite(name, trials=3, seed=0)
+    def test_every_suite_passes_at_its_default_count(self, name):
+        result = verify.run_suite(name, seed=0)
         assert result.passed, result.detail
-        assert result.trials == 3
+        assert result.trials == verify._SUITES[verify.SUITE_NAMES.index(name)][1]
+
+    def test_witness_soundness_at_a_tight_tol(self):
+        # a witness is judged by its gap against the trace-row bound, not by
+        # max(y'aeq) <= tol: at tol 1e-14 valid witnesses have max(y'aeq) ~ 1e-14
+        result = verify.run_suite("witness-soundness", seed=0, tol=1e-14)
+        assert result.passed, result.detail
 
     def test_seed_changes_draws_not_verdicts(self, capsys):
         for seed in (0, 7):

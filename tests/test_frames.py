@@ -146,14 +146,6 @@ class TestCanonicalDual:
         with pytest.raises(NotAFrame):
             canonical_dual(Frame(np.array([[1.0], [0.0]])))
 
-    def test_double_dual_returns_original(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            k = int(rng.integers(n, 13))
-            fr = random_frame(rng, n, k)
-            again = canonical_dual(canonical_dual(fr))
-            assert again.close_to(fr, 1e-8)
-
 
 class TestVerifyDuality:
     def test_basis_self_duality(self):

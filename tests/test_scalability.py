@@ -7,10 +7,9 @@ from dynframe import constructions as cons
 from dynframe import scalability
 from dynframe.dynamics import DynamicalSystemSpec, iterate
 from dynframe.errors import NotNormal, NumericalFailure, TemplateMismatch, ZeroVector
-from dynframe.frames import Frame, analyze
-from dynframe.instances import (random_diagonal_data, random_frame,
-                                random_parseval, random_scalable_frame,
-                                random_unitary)
+from dynframe.frames import Frame
+from dynframe.instances import (random_diagonal_data, random_parseval,
+                                random_scalable_frame, random_unitary)
 from dynframe.numkernel import DEFAULT_TOL, Feasible, InfeasibleWitness, nonneg_feasible
 from dynframe.scalability import (ScalingCertificate, _diagram_rows,
                                   _scaling_system, build_diagonal_system,
@@ -161,13 +160,6 @@ class TestTightViaDiagram:
     def test_unbalanced(self):
         assert not tight_via_diagram(cols([1.0, 0], [1.0, 0], [0, 1.0]))
 
-    def test_agrees_with_spectral_verdict(self, rng):
-        for _ in range(50):
-            n = int(rng.integers(2, 5))
-            k = int(rng.integers(n, 9))
-            fr = random_parseval(rng, n, k) if rng.random() < 0.5 else random_frame(rng, n, k)
-            assert tight_via_diagram(fr) == analyze(fr).is_tight
-
 
 class TestSolveScaling:
     def test_basis_plus_repeat(self):
@@ -222,18 +214,8 @@ class TestSolveScaling:
 
 
 class TestSizeLadder:
-    # frames scalable by construction beyond the sizes the other tests
-    # draw: each needs a certificate, never a witness or "undecided"
-    @pytest.mark.parametrize("n", [6, 8, 10, 12, 16, 20])
-    def test_draws_get_certificates(self, n):
-        for s in range(20):
-            rng = np.random.default_rng(1000 * n + s)
-            k = int(rng.integers(2 * n, 5 * n))
-            frame, _ = random_scalable_frame(rng, n, k)
-            res = solve_scaling(frame)
-            assert isinstance(res, ScalingCertificate), (n, s)
-            assert res.residual <= DEFAULT_TOL, (n, s)
-
+    # the (6 ... 20, 2n ... 5n) ladder draws get certificates in verify's
+    # certificate-soundness suite, trial 0
     def test_forty_by_two_hundred(self):
         frame, _ = random_scalable_frame(np.random.default_rng(40200), 40, 200)
         res = solve_scaling(frame)
@@ -710,18 +692,6 @@ class TestGramianOracle:
         assert null_basis.shape[1] == 3 and not found
         assert not answer(1e-3, -1.0)[2]
 
-    def test_oracle_equivalence(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(2, 5))
-            k = int(rng.integers(n, 11))
-            if rng.random() < 0.3:
-                fr, _ = random_scalable_frame(rng, n, k)
-            else:
-                fr = random_frame(rng, n, k)
-            solver = isinstance(solve_scaling(fr), ScalingCertificate)
-            _, _, oracle = gramian_scaling_check(fr)
-            assert solver == oracle
-
 
 class TestDiagonalSystems:
     def test_sign_flip_system_rows(self):
@@ -757,20 +727,6 @@ class TestDiagonalSystems:
             normal_scalability(np.array([[0.0, 1.0], [0.0, 0.0]]),
                                [np.array([1.0, 0.0])], [2])
 
-    def test_agrees_with_direct_solver(self, rng):
-        for _ in range(40):
-            n = int(rng.integers(2, 4))
-            field = "complex" if rng.random() < 0.5 else "real"
-            a, gens, iters = random_diagonal_data(rng, n, field=field,
-                                                  n_gens=int(rng.integers(1, 3)))
-            system = build_diagonal_system(a, gens, iters)
-            via_system = nonneg_feasible(system.matrix, system.rhs)
-            spec = DynamicalSystemSpec(
-                operators=(np.diag(a),), generators=tuple(gens),
-                triples=tuple((0, g, l) for g, l in enumerate(iters)))
-            via_frame = solve_scaling(iterate(spec))
-            assert isinstance(via_system, Feasible) == isinstance(via_frame, ScalingCertificate)
-
 
 class TestOneVectorObstruction:
     def test_two_dim_unobstructed(self):
@@ -781,17 +737,6 @@ class TestOneVectorObstruction:
 
     def test_scalar_unobstructed(self):
         assert not real_one_vector_obstruction([5.0])
-
-    def test_obstruction_matches_solver(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(3, 6))
-            a = rng.standard_normal(n)
-            gen = rng.standard_normal(n)
-            assert real_one_vector_obstruction(a)
-            spec = DynamicalSystemSpec.single(np.diag(a), gen,
-                                              int(rng.integers(n, 2 * n + 2)))
-            res = solve_scaling(iterate(spec))
-            assert not (isinstance(res, ScalingCertificate) and res.strict)
 
 
 class TestSupportPattern:
@@ -814,20 +759,6 @@ class TestSupportPattern:
     def test_non_template_rejected(self):
         with pytest.raises(TemplateMismatch):
             support_pattern_check(Frame(np.eye(3)))
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(2, 4), st.integers(0, 5), st.integers(0, 2 ** 31 - 1))
-def test_scaling_invariant_under_unitary_transport(n, extra, seed):
-    rng = np.random.default_rng(seed)
-    fr = random_frame(rng, n, n + extra)
-    u = random_unitary(rng, n)
-    moved = Frame(u @ fr.matrix)
-    res_a = solve_scaling(fr)
-    res_b = solve_scaling(moved)
-    assert isinstance(res_a, ScalingCertificate) == isinstance(res_b, ScalingCertificate)
-    if isinstance(res_a, ScalingCertificate):
-        assert res_a.margin == pytest.approx(res_b.margin, abs=1e-8)
 
 
 @settings(max_examples=25, deadline=None)
