@@ -6,6 +6,8 @@ sampling, scalability certification with an independent diagram-vector
 oracle, structured constructions, and a JSON command-line surface.
 """
 
+import importlib
+
 from .errors import (AllZeroCoefficients, CriterionFailed, DegenerateTrace,
                      DimensionMismatch, DynframeError, IndexMismatch,
                      IndexOutOfRange, InputError, KTooSmall, NotAFrame,
@@ -26,11 +28,27 @@ from .scalability import (DiagonalScalingSystem, DiagramVector,
                           normal_scalability, real_one_vector_obstruction,
                           solve_scaling, support_pattern_check,
                           tight_via_diagram)
-from .constructions import (BlockDiagSpec, CompanionSpec, TwoParamBlock,
-                            block_diag, check_2scale, check_2x4, companion,
-                            embed, harmonic, multigen_rotation, r3_structured,
-                            rotation_system, tight_2x3)
-from .verify import SUITE_NAMES, SuiteResult, run_suite
+
+# The presets and the verifier load on first use of one of their names
+# (PEP 562), so that `import dynframe` and the CLI, which needs them only
+# for `construct` and `verify`, do not pay for them.
+_DEFERRED = {
+    **dict.fromkeys(("BlockDiagSpec", "CompanionSpec", "TwoParamBlock", "block_diag",
+                     "check_2scale", "check_2x4", "companion", "embed", "harmonic",
+                     "multigen_rotation", "r3_structured", "rotation_system",
+                     "tight_2x3"), "constructions"),
+    **dict.fromkeys(("SUITE_NAMES", "SuiteResult", "run_suite"), "verify"),
+}
+
+
+def __getattr__(name):
+    module = _DEFERRED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "AllZeroCoefficients", "CriterionFailed", "DegenerateTrace",

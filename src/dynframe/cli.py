@@ -15,7 +15,6 @@ import sys
 
 import numpy as np
 
-from . import constructions as cons
 from . import serialize as ser
 from .dynamics import DynamicalSystemSpec, dynamical_dual, iterate, reconstruct, take_samples
 from .errors import (CriterionFailed, DynframeError, InputError, NotAFrame,
@@ -23,7 +22,6 @@ from .errors import (CriterionFailed, DynframeError, InputError, NotAFrame,
 from .frames import analyze
 from .numkernel import DEFAULT_TOL, InfeasibleWitness
 from .scalability import ScalingCertificate, gramian_scaling_check, solve_scaling, tight_via_diagram
-from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -154,6 +152,8 @@ def cmd_reconstruct(args, tol) -> int:
 
 
 def _preset_system(args) -> DynamicalSystemSpec:
+    from . import constructions as cons  # loaded only when a preset is built
+
     if args.preset == "companion":
         coeffs = _csv_floats(args.coeffs, "--coeffs")
         n = len(coeffs)
@@ -221,6 +221,8 @@ def cmd_construct(args, tol) -> int:
 
 
 def cmd_verify(args, tol) -> int:
+    from .verify import SUITE_NAMES, run_suite  # loaded only when suites run
+
     names = args.suite if args.suite else list(SUITE_NAMES)
     for name in names:
         if name != "all" and name not in SUITE_NAMES:

@@ -7,15 +7,17 @@ L) triples; iterating produces the frame candidate
 
 Powers are built by repeated multiplication so non-diagonalizable
 operators are handled the same way as normal ones.  A spec iterates
-once: its columns, their Frame, and the frame operator S with its
-eigenvalues are formed on first use and kept on the spec, which is
-immutable, so every later call on the same spec reads them.
+once: its lattice, its columns, their Frame, the frame operator S with
+its eigenvalues, and S^-1 are formed on first use and kept on the spec,
+which is immutable, so every later call on the same spec reads them.
 
 The canonical dual of the iterated frame is iterated too: B_s^j g_s =
 S^-1 A_s^j f_s with B_s = S^-1 A_s S and g_s = S^-1 f_s, where S = F F*
 is the frame operator (dynamical_dual builds this system).  Recovering
 f from its samples needs only the dual's synthesis S^-1 F, so
-reconstruct makes one solve with S instead of iterating the dual.
+reconstruct applies S^-1 to F samples instead of iterating the dual.
+S^-1 is inverted once per spec, after the frame check, and the dual and
+every reconstruction share it.
 """
 
 from dataclasses import dataclass
@@ -76,15 +78,17 @@ class DynamicalSystemSpec:
 
     def lattice(self) -> Tuple[Tuple[int, int], ...]:
         """All (triple index, power) pairs in iteration order."""
-        out = []
-        for s, (_, _, l) in enumerate(self.triples):
-            out.extend((s, j) for j in range(l + 1))
-        return tuple(out)
+        return self._lattice
 
-    # The memos below are read-only arrays derived from the fields of a
-    # frozen spec, which are read-only copies that no caller holds, so none
-    # can go stale.  A member that raises (a zero iterate makes no Frame)
-    # keeps nothing and raises again on the next use.
+    # The memos below are derived from the fields of a frozen spec, which
+    # are read-only copies that no caller holds, so none can go stale; the
+    # arrays among them are read-only.  A member that raises (a zero
+    # iterate makes no Frame) keeps nothing and raises again on the next use.
+
+    @cached_property
+    def _lattice(self) -> Tuple[Tuple[int, int], ...]:
+        return tuple((s, j) for s, (_, _, l) in enumerate(self.triples)
+                     for j in range(l + 1))
 
     @cached_property
     def _columns(self) -> np.ndarray:
@@ -100,6 +104,14 @@ class DynamicalSystemSpec:
         """The frame operator S = F F* and its ascending eigenvalues."""
         s_op = frame_operator(self._frame)
         return _freeze(s_op), _freeze(_eigenvalues(s_op))
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        """S^-1.  Read it only after _invertible_frame_operator's frame check."""
+        try:
+            return _freeze(np.linalg.inv(self._spectrum[0]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -166,7 +178,11 @@ def iterate(spec: DynamicalSystemSpec) -> Frame:
 
 
 def _invertible_frame_operator(spec: DynamicalSystemSpec, tol: float):
-    """The iterated Frame and its frame operator S; NotAFrame unless S > tol."""
+    """The iterated Frame and its frame operator S; NotAFrame unless S > tol.
+
+    Callers read spec._inverse only after this check, so S^-1 is never
+    formed for a system that is not a frame.
+    """
     frame = iterate(spec)
     s_op, lam = spec._spectrum
     report = _report(lam, tol)
@@ -180,11 +196,14 @@ def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DualS
 
     The canonical dual of the iterated frame is itself iterated: it is
     generated by B_s = S^{-1} A_s S acting on g_s = S^{-1} f_s, with the
-    same iteration counts.
+    same iteration counts.  Each B_s is the product S^{-1} (A_s S), and
+    all g_s come from one product S^{-1} [f_1 ... f_q], with the S^{-1}
+    that the spec keeps.
     """
     _, s_op = _invertible_frame_operator(spec, tol)
-    ops = tuple(np.linalg.solve(s_op, a @ s_op) for a in spec.operators)
-    gens = tuple(np.linalg.solve(s_op, f) for f in spec.generators)
+    s_inv = spec._inverse
+    ops = tuple(s_inv @ (a @ s_op) for a in spec.operators)
+    gens = tuple((s_inv @ np.stack(spec.generators, axis=1)).T)
     return DualSystem(operators=ops, generators=gens, source=spec, frame_op=s_op)
 
 
@@ -233,7 +252,8 @@ def take_samples(spec: DynamicalSystemSpec, f, tol: float = DEFAULT_TOL) -> Samp
     Each value is <f, A_s^j f_s>, read off F* f with F the spec's iterated
     columns (a zero iterate has the sample 0); the adjoint form
     <A_s*^j f, f_s> comes from one sweep of A_s* per triple on every call,
-    and the two are cross-checked entry by entry.
+    read as f_s* times the triple's block of the sweep, and the two are
+    cross-checked entry by entry.
     """
     f = as_vector(f)
     if f.shape[0] != spec.dim:
@@ -241,9 +261,11 @@ def take_samples(spec: DynamicalSystemSpec, f, tol: float = DEFAULT_TOL) -> Samp
     direct = spec._columns.conj().T @ f
     sweeps = _orbits(tuple(a.conj().T for a in spec.operators), (f,),
                      tuple((s, 0, l) for s, _, l in spec.triples))
-    gens = np.stack(spec.generators, axis=1)[:, [g for _, g, l in spec.triples
-                                                  for _ in range(l + 1)]]
-    adjoint = np.sum(gens.conj() * sweeps, axis=0)
+    adjoint = np.empty(sweeps.shape[1], dtype=np.result_type(sweeps, *spec.generators))
+    col = 0
+    for _, g, l in spec.triples:
+        adjoint[col:col + l + 1] = spec.generators[g].conj() @ sweeps[:, col:col + l + 1]
+        col += l + 1
     indices = spec.lattice()
     bad = np.abs(direct - adjoint) > 10 * tol * np.maximum(1.0, np.abs(direct))
     if bad.any():
@@ -262,9 +284,10 @@ def reconstruct(spec: DynamicalSystemSpec, samples: SampleSet,
     Without weights the canonical-dual route is used.  The dual frame
     {B_s^j g_s} of the dynamical dual is S^-1 F, so
         f = sum_(s,j) <f, A_s^j f_s> B_s^j g_s = S^-1 (F samples),
-    one solve with the frame operator S = F F*, with no dual system
-    built or iterated.  With weights w (a scaling certificate making the
-    iterated frame tight), the self-dual route
+    one product with the S^-1 that the spec keeps (S = F F* is inverted
+    once per spec), with no dual system built or iterated.  With weights
+    w (a scaling certificate making the iterated frame tight), the
+    self-dual route
         f = sum_i w_i^2 <f, v_i> v_i
     over the iterated vectors v_i is used instead.
     """
@@ -272,9 +295,9 @@ def reconstruct(spec: DynamicalSystemSpec, samples: SampleSet,
     if tuple(samples.indices) != lattice:
         raise IndexMismatch("sample index set does not match the system lattice")
     vals = np.asarray(samples.values)
-    frame, s_op = _invertible_frame_operator(spec, tol)
+    frame, _ = _invertible_frame_operator(spec, tol)
     if weights is None:
-        return np.linalg.solve(s_op, frame.matrix @ vals)
+        return spec._inverse @ (frame.matrix @ vals)
 
     w = np.asarray(getattr(weights, "weights", weights), dtype=float).ravel()
     if w.shape[0] != frame.size:

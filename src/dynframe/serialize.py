@@ -33,7 +33,7 @@ def _write(obj, out):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         f = float(obj)
-        if not np.isfinite(f):
+        if not math.isfinite(f):
             raise ValueError("cannot serialize non-finite float")
         if f == 0.0:
             f = 0.0

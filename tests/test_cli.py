@@ -34,6 +34,16 @@ def frame_file(tmp_path, name, columns):
     return str(path)
 
 
+def fresh_python(*lines):
+    """Stripped stdout of the given lines run in a fresh interpreter on this dynframe."""
+    src = os.path.dirname(os.path.dirname(dynframe.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", "\n".join(lines)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return out.strip()
+
+
 @pytest.fixture
 def mercedes(tmp_path, capsys):
     sys_path = str(tmp_path / "sys.json")
@@ -84,15 +94,9 @@ class TestPipeline:
     @staticmethod
     def _scipy_modules_after(statement, then="pass"):
         # a fresh interpreter runs statement, lists the scipy modules, then runs then
-        code = "\n".join(["import sys, dynframe.cli", statement,
-                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-                          then])
-        src = os.path.dirname(os.path.dirname(dynframe.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True).stdout
-        return out.strip()
+        return fresh_python("import sys, dynframe.cli", statement,
+                            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+                            then)
 
     def test_import_loads_no_scipy(self):
         # only the LP and the Schur branch load scipy's compiled modules, on first use
@@ -603,7 +607,7 @@ class TestVerifyCommand:
         def fake(name, trials=None, seed=0, tol=0.0):
             return SuiteResult(name=name, passed=False, trials=1,
                                detail="forced failure")
-        monkeypatch.setattr("dynframe.cli.run_suite", fake)
+        monkeypatch.setattr("dynframe.verify.run_suite", fake)
         code, out, _ = run(capsys, "verify", "--suite", "eig-roundtrip")
         assert code == 1
         assert "FAIL" in out and "forced failure" in out
@@ -718,13 +722,26 @@ class TestTracedNames:
         return [tuple(ast.literal_eval(e) for e in entry.elts[:2]) for entry in node.elts]
 
     def test_every_traced_name_resolves(self):
-        import dynframe.cli  # noqa: F401  (with dynframe and dynframe.serialize, above)
-
+        # in a fresh interpreter, as the console script starts: the CLI loads
+        # every traced module, and neither it nor the package loads the
+        # presets, the verifier or the random instances
         targets = self._targets()
         assert len(targets) == 27
-        for module, attr in targets:
-            assert module in sys.modules, module
-            assert callable(getattr(sys.modules[module], attr, None)), (module, attr)
+        out = fresh_python(
+            "import json, sys",
+            "def loaded(): return sorted(m for m in sys.modules if m.startswith('dynframe'))",
+            "import dynframe",
+            "package = loaded()",
+            "from dynframe.cli import main",
+            f"targets = {targets!r}",
+            "print(json.dumps({'package': package, 'cli': loaded(), 'callable': [",
+            "    callable(getattr(sys.modules.get(m), a, None)) for m, a in targets]}))")
+        report = json.loads(out)
+        deferred = {"dynframe.constructions", "dynframe.verify", "dynframe.instances"}
+        assert not deferred & set(report["package"])
+        assert not deferred & set(report["cli"])
+        assert {module for module, _ in targets} <= set(report["cli"])
+        assert report["callable"] == [True] * len(targets)
 
     def test_every_exported_name_resolves(self):
         for name in dynframe.__all__:

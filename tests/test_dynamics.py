@@ -186,6 +186,69 @@ class TestSpecMemo:
             take_samples(spec, f)
 
 
+    def test_one_inverse_per_spec(self, rng, monkeypatch):
+        spec = two_operator_spec(rng)
+        calls = {"inv": 0, "solve": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(np.linalg, name, counted)
+        dual = dynamical_dual(spec)
+        fs = [rng.standard_normal(3) for _ in range(10)]
+        recovered = [reconstruct(spec, take_samples(spec, f)) for f in fs]
+        monkeypatch.undo()
+        assert calls == {"inv": 1, "solve": 0}
+        assert not spec._inverse.flags.writeable
+        s = frame_operator(iterate(spec))
+        for g, f in zip(dual.generators, spec.generators):
+            assert np.allclose(g, np.linalg.solve(s, f), atol=1e-12)
+        for f, rec in zip(fs, recovered):
+            assert np.linalg.norm(rec - f) < 1e-12
+
+    def test_not_a_frame_forms_no_inverse(self, monkeypatch):
+        # one orbit of the identity spans a line of R^2
+        spec = DynamicalSystemSpec.single(np.eye(2), np.array([1.0, 1.0]), 2)
+
+        def inverse(*args):
+            raise AssertionError("S was inverted for a system that is not a frame")
+
+        monkeypatch.setattr(np.linalg, "inv", inverse)
+        samples = take_samples(spec, np.array([1.0, 2.0]))
+        with pytest.raises(NotAFrame):
+            dynamical_dual(spec)
+        with pytest.raises(NotAFrame):
+            reconstruct(spec, samples)
+        assert "_inverse" not in vars(spec)
+
+    def test_badly_conditioned_orbit_matches_lu(self):
+        # the Krylov orbit of a diagonal operator with eigenvalues 1, 0.8,
+        # ..., 0.1, turned by a fixed reflection so that it is dense
+        v = np.ones(6) / np.sqrt(6.0)
+        q = np.eye(6) - 2.0 * np.outer(v, v)
+        a = q @ np.diag([1.0, 0.8, 0.6, 0.4, 0.2, 0.1]) @ q
+        f = q @ np.ones(6)
+        iters = 6
+        spec = DynamicalSystemSpec.single(a, f, iters)
+        s = frame_operator(iterate(spec))
+        cond = np.linalg.cond(s)
+        assert cond >= 1e6
+        bound = 1e3 * np.finfo(float).eps * cond * (iters + 1)
+
+        def rel(x, ref):
+            return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+        dual = dynamical_dual(spec)
+        assert rel(dual.operators[0], np.linalg.solve(s, a @ s)) <= bound
+        assert rel(dual.generators[0], np.linalg.solve(s, f)) <= bound
+        x = np.cos(np.arange(6.0))
+        samples = take_samples(spec, x)
+        rec = reconstruct(spec, samples)
+        ref = np.linalg.solve(s, iterate(spec).matrix @ np.asarray(samples.values))
+        assert rel(rec, ref) <= bound
+        assert rel(rec, x) <= bound
+
+
 class TestIterateColumns:
     @staticmethod
     def _assert_bit_identical(spec):
