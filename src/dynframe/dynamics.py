@@ -7,9 +7,10 @@ L) triples; iterating produces the frame candidate
 
 Powers are built by repeated multiplication so non-diagonalizable
 operators are handled the same way as normal ones.  A spec iterates
-once: its lattice, its columns, their Frame, the frame operator S with
-its eigenvalues, and S^-1 are formed on first use and kept on the spec,
-which is immutable, so every later call on the same spec reads them.
+once: its lattice, its columns, their Frame, and S^-1 are formed on
+first use and kept on the spec, which is immutable, so every later call
+on the same spec reads them.  The frame operator S with its eigenvalues
+is kept on that Frame (frames.Frame._spectrum) and read from there.
 
 The canonical dual of the iterated frame is iterated too: B_s^j g_s =
 S^-1 A_s^j f_s with B_s = S^-1 A_s S and g_s = S^-1 f_s, where S = F F*
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, IndexMismatch, NotAFrame, NumericalFailure,
                      SingularTransport, ZeroVector)
-from .frames import Frame, _eigenvalues, _report, frame_operator
+from .frames import Frame, _report
 from .numkernel import DEFAULT_TOL, _freeze, as_matrix, as_vector, fro, unitary_diagonalize
 
 
@@ -99,11 +100,11 @@ class DynamicalSystemSpec:
     def _frame(self) -> Frame:
         return Frame(self._columns)
 
-    @cached_property
+    @property
     def _spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The frame operator S = F F* and its ascending eigenvalues."""
-        s_op = frame_operator(self._frame)
-        return _freeze(s_op), _freeze(_eigenvalues(s_op))
+        """The frame operator S = F F* and its ascending eigenvalues, kept
+        on the spec's Frame (Frame._spectrum), their one home."""
+        return self._frame._spectrum
 
     @cached_property
     def _inverse(self) -> np.ndarray:

@@ -3,17 +3,23 @@
 A frame is stored through its synthesis matrix F (columns f_i).  All
 spectral questions about the frame reduce to the frame operator
 S = F F*, which is Hermitian positive semidefinite; bounds are its
-extreme eigenvalues.
+extreme eigenvalues.  A Frame is the one home of S: it forms S with its
+eigenvalues on first use and keeps them, and a DynamicalSystemSpec reads
+them off the Frame it iterated.  The rows of the frame's scaling system
+(_scaling_system), which every scalability route reads, are kept on the
+Frame the same way.
 """
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import (DimensionMismatch, NotAFrame, NumericalFailure, ShapeMismatch,
                      ZeroVector)
-from .numkernel import DEFAULT_TOL, as_matrix, field_of, fro, hermitian_eig, svd_rank
+from .numkernel import (DEFAULT_TOL, _freeze, as_matrix, field_of, fro, hermitian_eig,
+                        svd_rank)
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,23 @@ class Frame:
             return False
         return fro(self.matrix - other.matrix) <= tol * max(1.0, fro(self.matrix))
 
+    # The memos below are derived from the read-only matrix of a frozen
+    # Frame, so neither can go stale; their arrays are read-only.  A Frame
+    # built again from the same matrix gets its own.  A member that raises
+    # keeps nothing and raises again on the next use.
+
+    @cached_property
+    def _spectrum(self):
+        """The frame operator S = F F* and its ascending eigenvalues."""
+        s_op = frame_operator(self)
+        return _freeze(s_op), _freeze(_eigenvalues(s_op))
+
+    @cached_property
+    def _scaling_rows(self):
+        """(aeq, beq): the rows of _scaling_system over the columns."""
+        aeq, beq = _scaling_system(self.matrix)
+        return _freeze(aeq), _freeze(beq)
+
 
 @dataclass(frozen=True)
 class FrameReport:
@@ -92,6 +115,31 @@ class FusionDecomposition:
     is_fusion_frame: bool
 
 
+@lru_cache(maxsize=64)
+def _pairs(n: int):
+    """np.triu_indices(n, 1) as read-only arrays, built once per n."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
+
+
+def _scaling_system(m):
+    """Rows of sum_i x_i vech(m_i m_i*) = vech(I) over the columns of m.
+
+    One row per index i (|m(i)|^2, rhs 1), then the real parts of
+    m(i) conj(m(j)) for pairs i < j (rhs 0), then, when m is complex,
+    their imaginary parts (rhs 0).
+    """
+    m = np.asarray(m)
+    iu, ju = _pairs(m.shape[0])
+    prod = m[iu] * m[ju].conj()
+    aeq = np.vstack([np.abs(m) ** 2, prod.real] + ([prod.imag] if np.iscomplexobj(m) else []))
+    beq = np.zeros(aeq.shape[0])
+    beq[:m.shape[0]] = 1.0
+    return aeq, beq
+
+
 def frame_operator(frame: Frame) -> np.ndarray:
     """S = F F* = sum_i f_i f_i*."""
     f = frame.matrix
@@ -105,19 +153,11 @@ def analyze(frame: Frame, tol: float = DEFAULT_TOL) -> FrameReport:
     Rank-deficient systems come back with is_frame false rather than an
     error; tightness is decided spectrally here (the diagram-vector test
     in the scalability module is an independent oracle for the same
-    question).
+    question).  Only the eigenvalues of S are computed (frame_operator
+    makes S exactly Hermitian), once per Frame; a LAPACK failure raises
+    NumericalFailure.
     """
-    return analyze_operator(frame_operator(frame), tol)
-
-
-def analyze_operator(s, tol: float = DEFAULT_TOL) -> FrameReport:
-    """The report of analyze, from a frame operator S = F F* already formed.
-
-    Only the eigenvalues of S are computed (frame_operator makes S
-    exactly Hermitian); a LAPACK failure raises NumericalFailure.
-    Callers that go on to solve with S form it once and pass it here.
-    """
-    return _report(_eigenvalues(s), tol)
+    return _report(frame._spectrum[1], tol)
 
 
 def _eigenvalues(s) -> np.ndarray:
@@ -141,12 +181,11 @@ def _report(lam, tol: float) -> FrameReport:
 
 
 def canonical_dual(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
-    """The canonical dual {S^{-1} f_i}."""
-    s = frame_operator(frame)
-    report = analyze_operator(s, tol)
+    """The canonical dual {S^{-1} f_i}, solved with S by LU."""
+    report = analyze(frame, tol)
     if not report.is_frame:
         raise NotAFrame(f"lower bound {report.lower_bound:.3e} is not positive")
-    return Frame(np.linalg.solve(s, frame.matrix))
+    return Frame(np.linalg.solve(frame._spectrum[0], frame.matrix))
 
 
 def verify_duality(frame: Frame, dual: Frame, tol: float = DEFAULT_TOL) -> bool:

@@ -10,7 +10,9 @@ these routes, in this order (_solve):
   they are independent once parallel columns (a repeated orbit vector,
   up to a phase) are merged, the group totals are forced instead; and
   a tight frame is scaled by uniform weights, which the trace row makes
-  the max-min point;
+  the max-min point.  Independence is decided by one Cholesky
+  factorization (the _K_RCOND rank test) and the forced values by
+  linear solves with K, with no eigendecomposition;
 * the split (_split): when the exact zeros of the columns group the
   coordinates into components with disjoint supports (block-diagonal
   operators), the system is block diagonal and each component is
@@ -32,7 +34,12 @@ these routes, in this order (_solve):
   1'x = 1 bounds x).
 
 The agreement of the solver and the oracle is a checked invariant,
-never assumed.
+never assumed.  Every route on a Frame reads the same rows of its
+scaling system, built once and kept on the Frame (Frame._scaling_rows):
+solve_scaling solves them, tight_via_diagram maps their sum over the
+columns, and the oracle maps them divided column by column by
+c_i = |f_i|^2, the rows of the unit columns.  A certificate is strict
+when min_i c_i x_i > tol, which no rescaling of the columns changes.
 
 For normal A = U D U*, normal_scalability solves the diagonal model
 {D^j U* f_s} (diagonal_reduce), iterated like any other spec, by these
@@ -40,24 +47,26 @@ routes; build_diagonal_system gives its rows as an LP-only reference.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import DynamicalSystemSpec, diagonal_reduce, iterate_columns
 from .errors import NumericalFailure, ShapeMismatch, TemplateMismatch, ZeroVector
-from .frames import Frame
+from .frames import Frame, _pairs, _scaling_system
 from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, as_vector, fro,
                         hermitian_eig, nonneg_feasible)
 
-# Eigenvalues of the unit-column K = |U*U|^2 at or below this fraction of
-# its largest make _closed_form leave the system to the LP.  The fast path
-# needs K invertible; its answers are checked on the raw columns anyway,
-# so the cutoff only has to keep x = K^-1 1 meaningful.  It is also the
-# gap for parallel columns: unit columns with |<u_i, u_j>|^2 >= 1 - _K_RCOND
-# share one operator u u*, and such a pair alone puts an eigenvalue of K
-# at or below _K_RCOND, so a K that passes the rank test merges nothing.
+# The rank test of _closed_form on the unit-column K = |U*U|^2: K passes
+# when K - _K_RCOND tr(K) I has a Cholesky factor, that is when
+# lambda_min(K) > _K_RCOND tr(K) >= _K_RCOND lambda_max(K); otherwise the
+# system is left to the LP.  The fast path needs K invertible to solve
+# K X = 1; its answers are checked on the raw columns anyway, so the
+# cutoff only has to keep X meaningful.  It is also the gap for parallel
+# columns: unit columns with |<u_i, u_j>|^2 >= 1 - _K_RCOND share one
+# operator u u*, and such a pair alone puts an eigenvalue of K at or below
+# _K_RCOND, hence below _K_RCOND tr(K) = _K_RCOND k, so a K that passes
+# the rank test merges nothing.
 _K_RCOND = 1e-10
 
 # _gap_rule leaves a 2-D system to the general route when its largest
@@ -94,7 +103,7 @@ class ScalingCertificate:
     squares: np.ndarray      # x_i = w_i^2, the LP variables
     tight_constant: float
     residual: float          # || sum x_i f_i f_i* - lambda I ||_F
-    strict: bool
+    strict: bool             # min_i |f_i|^2 x_i > tol
     margin: float            # maximized min x_i
 
 
@@ -142,51 +151,31 @@ def diagram_vector(f, field: Optional[str] = None) -> DiagramVector:
     return DiagramVector(dim=n, field=field, entries=entries)
 
 
-@lru_cache(maxsize=64)
-def _pairs(n: int):
-    """np.triu_indices(n, 1) as read-only arrays, built once per n."""
-    iu, ju = np.triu_indices(n, 1)
-    iu.setflags(write=False)
-    ju.setflags(write=False)
-    return iu, ju
-
-
-def _scaling_system(m):
-    """Rows of sum_i x_i vech(m_i m_i*) = vech(I) over the columns of m.
-
-    One row per index i (|m(i)|^2, rhs 1), then the real parts of
-    m(i) conj(m(j)) for pairs i < j (rhs 0), then, when m is complex,
-    their imaginary parts (rhs 0).
-    """
-    m = np.asarray(m)
-    iu, ju = _pairs(m.shape[0])
-    prod = m[iu] * m[ju].conj()
-    aeq = np.vstack([np.abs(m) ** 2, prod.real] + ([prod.imag] if np.iscomplexobj(m) else []))
-    beq = np.zeros(aeq.shape[0])
-    beq[:m.shape[0]] = 1.0
-    return aeq, beq
-
-
-def _diagram_rows(m) -> np.ndarray:
-    """Diagram vectors of all columns of m, read off _scaling_system's rows.
+def _diagram_rows(aeq, n: int, cplx: bool) -> np.ndarray:
+    """Diagram vectors read off rows aeq of _scaling_system over n coordinates.
 
     The differences of the n diagonal rows over the pairs i < j, then the
-    pair rows times sqrt(2n) (real) or sqrt(n) (complex), all divided by
-    sqrt(n - 1): diagram_vector's entries, with complex pair rows in
-    blocks (real parts, then imaginary parts) where it alternates them.
-    n = 1 gives no rows (the max only keeps the factor finite).
+    pair rows times sqrt(2n) (real) or sqrt(n) (complex, cplx true), all
+    divided by sqrt(n - 1): diagram_vector's entries, with complex pair
+    rows in blocks (real parts, then imaginary parts) where it alternates
+    them.  The map is linear, so the rows summed over the columns give the
+    sum of the diagram vectors.  n = 1 gives no rows (the max only keeps
+    the factor finite).
     """
-    n = m.shape[0]
-    aeq, _ = _scaling_system(m)
     iu, ju = _pairs(n)
-    pair_scale = np.sqrt(float(n) if np.iscomplexobj(m) else 2.0 * n)
-    return (1.0 / np.sqrt(max(n - 1.0, 1.0))) * np.vstack([aeq[iu] - aeq[ju], pair_scale * aeq[n:]])
+    pair_scale = np.sqrt(float(n) if cplx else 2.0 * n)
+    return (1.0 / np.sqrt(max(n - 1.0, 1.0))) * np.concatenate([aeq[iu] - aeq[ju],
+                                                                pair_scale * aeq[n:]])
 
 
 def tight_via_diagram(frame: Frame, tol: float = DEFAULT_TOL) -> bool:
-    """Tightness test: the diagram vectors of a tight frame sum to zero."""
-    total = _diagram_rows(frame.matrix).sum(axis=1)
-    mass = float(np.sum(np.abs(frame.matrix) ** 2))
+    """Tightness test: the diagram vectors of a tight frame sum to zero.
+
+    The sum is the diagram map of the frame's scaling rows summed over
+    the columns, kept on the Frame (Frame._scaling_rows)."""
+    rows = frame._scaling_rows[0].sum(axis=1)
+    total = _diagram_rows(rows, frame.dim, np.iscomplexobj(frame.matrix))
+    mass = float(rows[:frame.dim].sum())
     return float(np.linalg.norm(total)) <= tol * mass
 
 
@@ -228,46 +217,57 @@ def _checked_witness(y, aeq, beq, n: int, tol: float):
         return None
 
 
-def _certificate(x, residual, margin, tol):
+def _certificate(x, residual, margin, columns, tol):
+    """The certificate of weights x over the columns f_i.
+
+    strict records min_i c_i x_i > tol over the nonzero columns, with
+    c_i = |f_i|^2: c_i x_i are the weights of the unit columns, which sum
+    to n (the trace row) and do not change when a column is rescaled, as
+    strict scalability does not.  margin is the max-min of x itself.
+    """
+    c = np.sum(np.abs(columns) ** 2, axis=0)
+    strict = bool(np.min(c * x, where=c > 0, initial=np.inf) > tol)
     return ScalingCertificate(weights=np.sqrt(x), squares=x, tight_constant=1.0,
-                              residual=residual, strict=margin > tol, margin=margin)
+                              residual=residual, strict=strict, margin=margin)
 
 
-def _eigh_if_nonsingular(gram):
-    """(lam, vecs) of eigh(gram) when gram passes the _K_RCOND rank test,
-    else None."""
+def _nonsingular(gram) -> bool:
+    """Whether gram passes the _K_RCOND rank test: gram - _K_RCOND tr(gram) I
+    has a Cholesky factor."""
+    shifted = gram.copy()
+    shifted.flat[::gram.shape[0] + 1] -= _K_RCOND * np.trace(gram)
     try:
-        lam, vecs = np.linalg.eigh(gram)
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        return None
-    return (lam, vecs) if lam[0] > _K_RCOND * lam[-1] else None
+        return False
+    return True
 
 
-def _forced(eig, group, mass, aeq, beq, columns, tol):
+def _forced(gram, group, mass, aeq, beq, columns, tol):
     """Decide the system from the unique solution X = K_h^-1 1 over groups.
 
-    eig is the eigendecomposition of K_h, the K of one head column per
-    group; group[i] is the group of column i and mass[g] the sum of
-    |f_i|^2 over group g.  Each solution has sum_{i in g} |f_i|^2 x_i = X_g,
-    so x_i = X_g / mass[g] is the max-min point.  For X_g < 0,
-    z_i = (K_h^-1 e_g)_{group i} / mass gives y = -W aeq z with
-    y'aeq = -e_g' on the group's operator and y'beq = -X_g > 0; W weights
-    the diagonal rows by 1 and the pair rows by 2, so that y' aeq_i is the
-    trace inner product of Y with f_i f_i*.  A large residual gives
-    y = W (beq - aeq x), with y'aeq = 0 and y'beq = ||I - sum x_i f_i f_i*||^2.
+    gram is K_h, the K of one head column per group, nonsingular;
+    group[i] is the group of column i and mass[g] the sum of |f_i|^2 over
+    group g.  X solves K_h X = 1.  Each solution has
+    sum_{i in g} |f_i|^2 x_i = X_g, so x_i = X_g / mass[g] is the max-min
+    point.  For X_g < 0, z solving K_h z = e_g gives, spread over the
+    groups as z_{group i} / mass, y = -W aeq z with y'aeq = -e_g' on the
+    group's operator and y'beq = -X_g > 0; W weights the diagonal rows by
+    1 and the pair rows by 2, so that y' aeq_i is the trace inner product
+    of Y with f_i f_i*.  A large residual gives y = W (beq - aeq x), with
+    y'aeq = 0 and y'beq = ||I - sum x_i f_i f_i*||^2.
     """
-    lam, vecs = eig
     n = columns.shape[0]
-    unit_x = vecs @ (vecs.sum(axis=0) / lam)
+    unit_x = np.linalg.solve(gram, np.ones(gram.shape[0]))
     x = unit_x[group] / mass[group]
     residual = scaling_residual(columns, x)
     if x.min() >= 0 and residual <= tol:
-        return _certificate(x, residual, float(x.min()), tol)
+        return _certificate(x, residual, float(x.min()), columns, tol)
     w = np.ones(aeq.shape[0])
     w[n:] = 2.0
     candidates = []
     if x.min() < 0:
-        z = vecs @ (vecs[int(np.argmin(unit_x))] / lam)
+        z = np.linalg.solve(gram, np.eye(gram.shape[0])[int(np.argmin(unit_x))])
         candidates.append(-w * (aeq @ (z[group] / mass[group])))
     if residual > tol:
         candidates.append(w * (beq - aeq @ x))
@@ -343,16 +343,15 @@ def _closed_form(aeq, beq, columns, tol):
     if not np.all(norms > 0):
         return None
     group, head_gram = _parallel_groups(columns / np.sqrt(norms), aeq.shape[0])
-    eig = None if head_gram is None else _eigh_if_nonsingular(head_gram)
-    if eig is not None:
-        forced = _forced(eig, group, np.bincount(group, weights=norms),
+    if head_gram is not None and _nonsingular(head_gram):
+        forced = _forced(head_gram, group, np.bincount(group, weights=norms),
                          aeq, beq, columns, tol)
         if forced is not None:
             return forced
     x = np.full(k, n / norms.sum())
     residual = scaling_residual(columns, x)
     if residual <= tol:
-        return _certificate(x, residual, float(x[0]), tol)
+        return _certificate(x, residual, float(x[0]), columns, tol)
     return None
 
 
@@ -371,7 +370,7 @@ def _lp(aeq, beq, columns, tol):
     if residual > tol:
         raise NumericalFailure(
             f"scaling residual {residual:.3e} exceeds tolerance {tol:.1e}")
-    return _certificate(x, residual, res.margin, tol)
+    return _certificate(x, residual, res.margin, columns, tol)
 
 
 def _gap_rule(aeq, beq, columns, tol):
@@ -439,7 +438,7 @@ def _gap_rule(aeq, beq, columns, tol):
     residual = scaling_residual(columns, x)
     if x.min() < 0 or residual > tol:
         return None
-    return _certificate(x, residual, float(x.min()), tol)
+    return _certificate(x, residual, float(x.min()), columns, tol)
 
 
 def _component_rows(idx, n: int, cplx: bool):
@@ -516,19 +515,19 @@ def _split(aeq, beq, columns, tol):
         x[cols] = res.squares
         margin = min(margin, res.margin)
     residual = scaling_residual(columns, x)
-    return _certificate(x, residual, margin, tol) if residual <= tol else None
+    return _certificate(x, residual, margin, columns, tol) if residual <= tol else None
 
 
-def _solve(columns, tol: float):
+def _solve(aeq, beq, columns, tol: float):
     """Decide sum_i x_i f_i f_i* = I, x >= 0, over the columns f_i of an n x k matrix.
 
-    Routes, in order: _closed_form on the whole system, then _split
+    aeq, beq are the rows _scaling_system gives for columns.  Routes, in
+    order: _closed_form on the whole system, then _split
     (disjoint-support components, 2-D ones by _gap_rule), then the LP.
     Returns a certificate whose residual is recomputed on columns (zero
     columns allowed), or a witness that clears _sound_witness; anything
     else raises NumericalFailure.
     """
-    aeq, beq = _scaling_system(columns)
     res = _closed_form(aeq, beq, columns, tol)
     if res is None:
         res = _split(aeq, beq, columns, tol)
@@ -539,7 +538,9 @@ def solve_scaling(frame: Frame, tol: float = DEFAULT_TOL):
     """Weights w_i >= 0 with sum w_i^2 f_i f_i* = I, or a Farkas witness.
 
     The answer always carries the maximized minimum of x = w^2, and the
-    strict flag on the certificate records margin > tol.  Routes, in
+    strict flag on the certificate records min_i |f_i|^2 x_i > tol, the
+    least weight of the unit columns, so rescaling a column changes the
+    margin but not strict.  Routes, in
     order: the closed form (when K = |F*F|^2 is nonsingular the solution
     x = K^-1 c is unique, and the same holds for group totals once
     parallel columns are merged; a tight frame is certified by uniform
@@ -552,7 +553,7 @@ def solve_scaling(frame: Frame, tol: float = DEFAULT_TOL):
     the trace row (of its component, when split); any other
     infeasibility report raises NumericalFailure ("undecided").
     """
-    return _solve(frame.matrix, tol)
+    return _solve(*frame._scaling_rows, frame.matrix, tol)
 
 
 def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
@@ -572,8 +573,9 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     1'x = 1, its witness is a proof when gap > max(max_violation, 0), and
     NumericalFailure ("undecided") is raised otherwise.
     """
-    unit = frame.matrix / np.linalg.norm(frame.matrix, axis=0)
-    diag = _diagram_rows(unit)
+    aeq, _ = frame._scaling_rows
+    c = aeq[:frame.dim].sum(axis=0)
+    diag = _diagram_rows(aeq / c, frame.dim, np.iscomplexobj(frame.matrix))
     gram = diag.T @ diag
     k = gram.shape[0]
 
@@ -586,7 +588,6 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
         u = null_basis[:, 0]
         return gram, null_basis, bool(u.min() >= -tol or u.max() <= tol)
 
-    c = np.sum(np.abs(frame.matrix) ** 2, axis=0)
     v = null_basis @ (null_basis.T @ c)
     if v.min() >= -tol * np.max(np.abs(v)) and np.linalg.norm(v) > tol * np.linalg.norm(c):
         return gram, null_basis, True
@@ -636,7 +637,8 @@ def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
     spec = DynamicalSystemSpec(operators=(a,), generators=generators,
                                triples=tuple((0, s, l) for s, l in enumerate(iters)))
     _, _, reduced = diagonal_reduce(spec, tol)
-    res = _solve(iterate_columns(reduced), tol)
+    columns = iterate_columns(reduced)
+    res = _solve(*_scaling_system(columns), columns, tol)
     if isinstance(res, InfeasibleWitness):
         return res
     residual = scaling_residual(iterate_columns(spec), res.squares)

@@ -109,6 +109,8 @@ def _check_frame_inequality(rng, t, tol):
     field = "complex" if t % 2 else "real"
     frame = random_frame(rng, n, k, field=field)
     rep = analyze(frame, tol)
+    if not rep.is_frame:
+        return f"trial {t}: {k} generic vectors in dimension {n} not reported a frame"
     for _ in range(100):
         f = random_vector(rng, n, field)
         total = float(np.sum(np.abs(frame.matrix.conj().T @ f) ** 2))
@@ -117,6 +119,9 @@ def _check_frame_inequality(rng, t, tol):
         slack = 10 * tol * max(1.0, hi)
         if total < lo - slack or total > hi + slack:
             return f"trial {t}: frame inequality violated"
+        # relative to the sum itself, which is tighter where the bounds are small
+        if lo > total * (1 + 1e-8) + 1e-12 or total > hi * (1 + 1e-8) + 1e-12:
+            return f"trial {t}: frame inequality violated beyond relative rounding"
 
 
 def _check_dual_involution(rng, t, tol):

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynframe import constructions as cons
-from dynframe import scalability
+from dynframe import frames, scalability
 from dynframe.dynamics import DynamicalSystemSpec, iterate
 from dynframe.errors import NotNormal, NumericalFailure, TemplateMismatch, ZeroVector
-from dynframe.frames import Frame
+from dynframe.frames import Frame, analyze
 from dynframe.instances import (random_diagonal_data, random_parseval,
                                 random_scalable_frame, random_unitary)
 from dynframe.numkernel import DEFAULT_TOL, Feasible, InfeasibleWitness, nonneg_feasible
@@ -65,7 +65,7 @@ class TestDiagramVector:
                 m = rng.standard_normal((n, 6))
                 if field == "complex":
                     m = m + 1j * rng.standard_normal((n, 6))
-                got = _diagram_rows(m)
+                got = _diagram_rows(_scaling_system(m)[0], n, field == "complex")
                 ref = np.column_stack(
                     [diagram_vector(m[:, i], field=field).entries for i in range(6)])
                 if field == "complex":
@@ -191,6 +191,18 @@ class TestSolveScaling:
         assert abs(cert.margin) <= 1e-9
         assert cert.squares[2] == pytest.approx(0.0, abs=1e-9)
 
+    def test_strict_does_not_depend_on_column_scale(self):
+        # strict reads the unit-column weights |f_i|^2 x_i; margin stays min x
+        harmonic = iterate(cons.harmonic(3, 7)).matrix
+        for scale in (1.0, 1e3, 1e5):
+            cert = solve_scaling(Frame(scale * harmonic))
+            assert cert.strict, scale
+            assert cert.margin == pytest.approx(scale ** -2, rel=1e-9)
+        basis_plus_one = np.column_stack([[1.0, 0.0], [0.0, 1.0], [2 ** -0.5, 2 ** -0.5]])
+        for scale in (1e-3, 1.0, 1e3):
+            cert = solve_scaling(Frame(scale * basis_plus_one))
+            assert isinstance(cert, ScalingCertificate) and not cert.strict, scale
+
     def test_infeasible_returns_witness(self):
         fr = cols([1, 0], [1, 1], [1, 2])
         res = solve_scaling(fr)
@@ -211,6 +223,96 @@ class TestSolveScaling:
         cert = solve_scaling(fr)
         assert isinstance(cert, ScalingCertificate)
         assert cert.residual <= DEFAULT_TOL
+
+
+class TestFrameMemo:
+    def test_one_scaling_system_per_frame(self, monkeypatch):
+        made = []
+
+        def rows(m):
+            made.append(m)
+            return _scaling_system(m)
+
+        monkeypatch.setattr(frames, "_scaling_system", rows)
+        frame = cols([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
+        for _ in range(2):
+            tight_via_diagram(frame)
+            cert = solve_scaling(frame)
+            assert gramian_scaling_check(frame)[2]
+        assert len(made) == 1 and made[0] is frame.matrix
+        assert isinstance(cert, ScalingCertificate) and cert.residual <= DEFAULT_TOL
+        # a Frame built again from the same matrix gets its own memo
+        again = Frame(frame.matrix)
+        assert again.matrix is frame.matrix
+        solve_scaling(again)
+        analyze(again)
+        assert len(made) == 2
+        for kept, own in ((frame._scaling_rows, again._scaling_rows),
+                          (frame._spectrum, again._spectrum)):
+            for a, b in zip(kept, own):
+                assert a is not b and np.array_equal(a, b)
+
+    def test_kept_arrays_are_read_only(self):
+        frame = cols([1.0, 1j], [1.0, 0.0], [0.0, 2.0])
+        analyze(frame)
+        solve_scaling(frame)
+        for kept in frame._spectrum + frame._scaling_rows:
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 5.0
+        assert np.array_equal(frame._scaling_rows[1], [1.0, 1.0, 0.0, 0.0])
+
+    def test_a_spec_reads_s_off_its_frame(self):
+        spec = DynamicalSystemSpec.single(np.diag([1.0, -1.0]), [0.5, 0.5], 3)
+        assert spec._spectrum is iterate(spec)._spectrum
+
+
+class TestRankTest:
+    @staticmethod
+    def _with_spectrum(rng, lam):
+        q, _ = np.linalg.qr(rng.standard_normal((lam.size, lam.size)))
+        gram = (q * lam) @ q.T
+        return (gram + gram.T) / 2.0
+
+    def test_never_admits_what_the_eigenvalue_rule_refuses(self, rng):
+        # lambda_min / lambda_max near 1e-11 (both rules refuse) and near
+        # 1e-9 k (both admit, as _K_RCOND tr <= 1e-10 k lambda_max)
+        for k in (2, 3, 6, 15, 40, 78):
+            for ratio in (1e-11, 1e-9 * k):
+                for _ in range(10):
+                    lam = np.concatenate([[ratio], rng.uniform(ratio, 1.0, k - 2), [1.0]])
+                    gram = self._with_spectrum(rng, lam * rng.uniform(0.1, 10.0))
+                    ev = np.linalg.eigvalsh(gram)
+                    admitted = scalability._nonsingular(gram)
+                    assert not admitted or ev[0] > scalability._K_RCOND * ev[-1], (k, ratio)
+                    assert admitted == (ratio > 1e-10), (k, ratio)
+
+    def test_solve_matches_the_eigen_expansion(self):
+        # the forced weights X_g / mass_g, X = K_h^-1 1, on the certify-like
+        # frames: the size ladder, harmonic frames and shift-companion orbits
+        frames_ = []
+        for n in (6, 8, 10, 12):
+            for s in range(20):
+                rng = np.random.default_rng(1000 * n + s)
+                frames_.append(random_scalable_frame(rng, n, int(rng.integers(2 * n, 5 * n)))[0])
+        frames_ += [iterate(cons.harmonic(n, 2 * n)) for n in (4, 6, 8, 12)]
+        frames_ += [iterate(DynamicalSystemSpec.single(np.roll(np.eye(n), 1, axis=0),
+                                                       np.eye(n)[0], l))
+                    for n in range(3, 9) for l in (n - 1, n, n + 1)]
+        solved = 0
+        for frame in frames_:
+            m, (aeq, beq) = frame.matrix, frame._scaling_rows
+            norms = np.sum(np.abs(m) ** 2, axis=0)
+            group, gram = scalability._parallel_groups(m / np.sqrt(norms), aeq.shape[0])
+            if gram is None or not scalability._nonsingular(gram):
+                continue
+            mass = np.bincount(group, weights=norms)
+            cert = scalability._forced(gram, group, mass, aeq, beq, m, DEFAULT_TOL)
+            lam, vecs = np.linalg.eigh(gram)
+            expansion = (vecs @ (vecs.sum(axis=0) / lam))[group] / mass[group]
+            assert isinstance(cert, ScalingCertificate)
+            assert np.linalg.norm(cert.squares - expansion) <= 1e-12 * np.linalg.norm(expansion)
+            solved += 1
+        assert solved >= 80
 
 
 class TestSizeLadder:
