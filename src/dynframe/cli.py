@@ -280,7 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command(sub, "scale", "scaling certificate or infeasibility witness")
     p.add_argument("frame", help="JsonMatrix file, columns are the vectors")
     p.add_argument("--strict", action="store_true",
-                   help="exit 1 unless all weights are positive")
+                   help="exit 1 unless min_i |f_i|^2 x_i > tol: every unit column "
+                        "keeps a positive weight")
     p.set_defaults(func=cmd_scale)
 
     p = command(sub, "dual", "canonical dual system (B_s, g_s)")

@@ -193,11 +193,10 @@ class Feasible:
 @dataclass(frozen=True)
 class InfeasibleWitness:
     """Farkas candidate: a feasible x >= 0 would make gap = y'beq at most
-    max(max_violation, 0) sum(x), so the caller's bound on x decides a proof."""
+    max_i max((y'aeq)_i, 0) sum(x), so the caller's bound on x decides a proof."""
 
     y: np.ndarray
     gap: float            # y' beq
-    max_violation: float  # max entry of y' Aeq
 
 
 @dataclass(frozen=True)
@@ -331,8 +330,8 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
     Returns Feasible(x, margin) where margin is the maximized min entry,
     or an InfeasibleWitness.  Callers decide strictness by comparing
     margin against their tolerance.  A witness has gap > tol (else
-    NumericalFailure) and an untested max_violation: the caller's bound on
-    x decides a proof (verify's feasibility-certificates still wants <= tol).
+    NumericalFailure) and is not yet a proof: the caller judges y against
+    its own bound on x.
 
     The margin t is capped at MARGIN_CAP * max(1, ||x_ls||_inf), where
     x_ls is the least-squares solution of aeq x = beq.  On a scaling
@@ -400,6 +399,6 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
         gap = float(beq @ y)
         if gap <= tol:
             raise NumericalFailure("infeasibility reported but no valid Farkas witness found")
-        return InfeasibleWitness(y=y, gap=gap, max_violation=float(np.max(aeq.T @ y)))
+        return InfeasibleWitness(y=y, gap=gap)
 
     raise NumericalFailure(f"linear program ended with {_outcome(res)}")

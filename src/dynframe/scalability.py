@@ -23,15 +23,16 @@ these routes, in this order (_solve):
   max-min point and the witness in closed form;
 * the max-min LP (numkernel.nonneg_feasible) on the range of the
   equality system, for anything the routes above leave undecided, on
-  each component that is left.  All routes return a certificate checked
-  on the raw columns or a witness that clears _sound_witness, the bound
-  of the trace row;
+  each component that is left;
 * the diagram-vector Gramian test on the unit-normalized frame (oracle),
   built apart from K and never split: null dimension 1 decides by the
   signs of the null vector, and from 2 on the projection of (|f_i|^2)
-  onto the null space, with an LP when it has a negative entry, whose
-  witness needs a gap above its max violation (a proof, as the row
-  1'x = 1 bounds x).
+  onto the null space, with an LP when it has a negative entry.
+
+Every route returns through one gate per kind of answer, which judges
+it from its vector and the system alone: _certificate (x >= 0, residual
+on the raw columns within tol) and _sound_witness (y'b above the most
+y'A x reaches on the trace row, or on the oracle's row 1'x = 1).
 
 The agreement of the solver and the oracle is a checked invariant,
 never assumed.  Every route on a Frame reads the same rows of its
@@ -101,7 +102,6 @@ class ScalingCertificate:
 
     weights: np.ndarray      # w_i
     squares: np.ndarray      # x_i = w_i^2, the LP variables
-    tight_constant: float
     residual: float          # || sum x_i f_i f_i* - lambda I ||_F
     strict: bool             # min_i |f_i|^2 x_i > tol
     margin: float            # maximized min x_i
@@ -186,49 +186,53 @@ def scaling_residual(frame, squares) -> float:
     return fro(s - np.eye(f.shape[0]))
 
 
-def _sound_witness(w: InfeasibleWitness, aeq, n: int) -> InfeasibleWitness:
-    """Return w if it proves infeasibility of aeq, else raise NumericalFailure.
+def _sound_witness(y, aeq, beq, mass, total) -> InfeasibleWitness:
+    """The witness y if it proves aeq x = beq, x >= 0 infeasible, else
+    raise NumericalFailure ("undecided").
 
-    The first n rows of aeq are the diagonal ones, with rhs 1;
-    their sum reads sum_i c_i x_i = n, where c_i = |f_i|^2.  Any feasible
-    x >= 0 then gives y'b = (y'A) x <= n max_i max((y'A)_i, 0) / c_i, so a
-    gap above that bound leaves no feasible x.  A zero column has
-    (y'A)_i = 0 and adds nothing.
+    Every solution satisfies the row mass'x = total, mass >= 0 (the trace
+    row sum_i |f_i|^2 x_i = n, or the oracle's 1'x = 1), so any feasible x
+    gives y'b = (y'A) x <= total max_i max((y'A)_i, 0) / mass_i: a gap
+    above that bound is a proof.  A column with mass_i = 0 adds nothing.
     """
-    c = aeq[:n].sum(axis=0)
-    ya = np.clip(w.y @ aeq, 0.0, None)
-    bound = n * float(np.max(np.divide(ya, c, out=np.zeros_like(ya), where=c > 0)))
-    if not w.gap > bound:
-        raise NumericalFailure(f"undecided: witness gap {w.gap:.3e} does not clear "
+    gap = float(beq @ y)
+    ya = np.clip(y @ aeq, 0.0, None)
+    bound = total * float(np.max(np.divide(ya, mass, out=np.zeros_like(ya), where=mass > 0)))
+    if not gap > bound:
+        raise NumericalFailure(f"undecided: witness gap {gap:.3e} does not clear "
                                f"its soundness bound {bound:.3e}")
-    return w
+    return InfeasibleWitness(y=y, gap=gap)
 
 
 def _checked_witness(y, aeq, beq, n: int, tol: float):
     """y scaled to max|y| = 1 as a witness, if its gap exceeds tol and it
-    passes _sound_witness; else None."""
+    passes _sound_witness on the trace row; else None."""
     y = y / np.max(np.abs(y))
-    w = InfeasibleWitness(y=y, gap=float(beq @ y), max_violation=float(np.max(y @ aeq)))
-    if not w.gap > tol:
-        return None
     try:
-        return _sound_witness(w, aeq, n)
+        w = _sound_witness(y, aeq, beq, aeq[:n].sum(axis=0), n)
     except NumericalFailure:
         return None
+    return w if w.gap > tol else None
 
 
-def _certificate(x, residual, margin, columns, tol):
-    """The certificate of weights x over the columns f_i.
+def _certificate(x, margin, columns, tol):
+    """The certificate of weights x over the columns f_i, or None when x
+    has a negative entry or a residual, recomputed on the columns, above tol.
 
     strict records min_i c_i x_i > tol over the nonzero columns, with
     c_i = |f_i|^2: c_i x_i are the weights of the unit columns, which sum
     to n (the trace row) and do not change when a column is rescaled, as
     strict scalability does not.  margin is the max-min of x itself.
     """
+    if x.min() < 0:
+        return None
+    residual = scaling_residual(columns, x)
+    if residual > tol:
+        return None
     c = np.sum(np.abs(columns) ** 2, axis=0)
     strict = bool(np.min(c * x, where=c > 0, initial=np.inf) > tol)
-    return ScalingCertificate(weights=np.sqrt(x), squares=x, tight_constant=1.0,
-                              residual=residual, strict=strict, margin=margin)
+    return ScalingCertificate(weights=np.sqrt(x), squares=x, residual=residual,
+                              strict=strict, margin=margin)
 
 
 def _nonsingular(gram) -> bool:
@@ -260,16 +264,17 @@ def _forced(gram, group, mass, aeq, beq, columns, tol):
     n = columns.shape[0]
     unit_x = np.linalg.solve(gram, np.ones(gram.shape[0]))
     x = unit_x[group] / mass[group]
-    residual = scaling_residual(columns, x)
-    if x.min() >= 0 and residual <= tol:
-        return _certificate(x, residual, float(x.min()), columns, tol)
+    cert = _certificate(x, float(x.min()), columns, tol)
+    if cert is not None:
+        return cert
     w = np.ones(aeq.shape[0])
     w[n:] = 2.0
     candidates = []
     if x.min() < 0:
         z = np.linalg.solve(gram, np.eye(gram.shape[0])[int(np.argmin(unit_x))])
         candidates.append(-w * (aeq @ (z[group] / mass[group])))
-    if residual > tol:
+    # a nonnegative x that the gate turned down has a residual above tol
+    if x.min() >= 0 or scaling_residual(columns, x) > tol:
         candidates.append(w * (beq - aeq @ x))
     for y in candidates:
         witness = _checked_witness(y, aeq, beq, n, tol)
@@ -333,10 +338,10 @@ def _closed_form(aeq, beq, columns, tol):
       (it is tight), they are the max-min point, because the trace row
       sum_i |f_i|^2 x_i = n caps min x at n / sum_i |f_i|^2.
 
-    Returns a certificate checked on the raw columns, a witness that
-    passes _checked_witness, or None, which means "run the
-    LP": when some column is zero, when no route applies, and when a
-    witness does not check.
+    Returns a certificate that passes _certificate, a witness that passes
+    _checked_witness, or None, which means "run the LP": when some column
+    is zero, when no route applies, and when neither answer passes its
+    gate.
     """
     n, k = columns.shape
     norms = np.sum(np.abs(columns) ** 2, axis=0)
@@ -349,28 +354,27 @@ def _closed_form(aeq, beq, columns, tol):
         if forced is not None:
             return forced
     x = np.full(k, n / norms.sum())
-    residual = scaling_residual(columns, x)
-    if residual <= tol:
-        return _certificate(x, residual, float(x[0]), columns, tol)
-    return None
+    return _certificate(x, float(x[0]), columns, tol)
 
 
 def _lp(aeq, beq, columns, tol):
     """Decide aeq x = beq, x >= 0 by the max-min LP.
 
-    Returns a certificate whose residual is recomputed on the n x k
-    matrix columns, or a witness that clears _sound_witness at
-    n = columns.shape[0]; anything else raises NumericalFailure.
+    Returns a certificate that passes _certificate on the n x k matrix
+    columns (x clipped at 0, with the LP's own margin), or a witness that
+    clears _sound_witness on the trace row; anything else raises
+    NumericalFailure.
     """
+    n = columns.shape[0]
     res = nonneg_feasible(aeq, beq, tol=tol)
     if isinstance(res, InfeasibleWitness):
-        return _sound_witness(res, aeq, columns.shape[0])
+        return _sound_witness(res.y, aeq, beq, aeq[:n].sum(axis=0), n)
     x = np.clip(res.x, 0.0, None)
-    residual = scaling_residual(columns, x)
-    if residual > tol:
-        raise NumericalFailure(
-            f"scaling residual {residual:.3e} exceeds tolerance {tol:.1e}")
-    return _certificate(x, residual, res.margin, columns, tol)
+    cert = _certificate(x, res.margin, columns, tol)
+    if cert is None:
+        raise NumericalFailure(f"scaling residual {scaling_residual(columns, x):.3e} "
+                               f"exceeds tolerance {tol:.1e}")
+    return cert
 
 
 def _gap_rule(aeq, beq, columns, tol):
@@ -397,8 +401,8 @@ def _gap_rule(aeq, beq, columns, tol):
 
     Returns None, for the general route, when the points leave the
     circle (by more than tol), when the largest gap lies within
-    _GAP_SLACK of pi, and when the answer does not check on the system's
-    own columns (x >= 0 and residual <= tol, or _checked_witness).
+    _GAP_SLACK of pi, and when the answer fails its gate on the system's
+    own columns (_certificate or _checked_witness).
     """
     c = aeq[0] + aeq[1]
     g = np.vstack([aeq[0] - aeq[1], 2.0 * aeq[2:]]) / c
@@ -435,10 +439,7 @@ def _gap_rule(aeq, beq, columns, tol):
     x = np.full(c.size, t)
     x[ja] += lam * rest / c[ja]
     x[jb] += (1.0 - lam) * rest / c[jb]
-    residual = scaling_residual(columns, x)
-    if x.min() < 0 or residual > tol:
-        return None
-    return _certificate(x, residual, float(x.min()), columns, tol)
+    return _certificate(x, float(x.min()), columns, tol)
 
 
 def _component_rows(idx, n: int, cplx: bool):
@@ -481,14 +482,14 @@ def _split(aeq, beq, columns, tol):
     is block diagonal and each component is a scaling system of its own
     n_b coordinates.  A 2-D component goes to _gap_rule first, and any
     component it leaves undecided to _closed_form and then the LP.  The
-    certificate joins the component weights, its margin is the least
-    component margin, and its residual is recomputed on all columns; a
-    witness is one infeasible component's y, sound at n_b, padded with
-    zeros into the full row order.  A single component gets only the
-    gap rule (the caller's _closed_form has already run on it).  Returns
-    None, for the LP on the whole system, when a column or a coordinate
-    is all zero, when a single component is left undecided, and when the
-    joined residual exceeds tol.
+    certificate joins the component weights, with the least component
+    margin, and passes _certificate on all columns; a witness is one
+    infeasible component's y and gap, sound at n_b, padded with zeros into
+    the full row order.  A single component gets only the gap rule (the
+    caller's _closed_form has already run on it).  Returns None, for the
+    LP on the whole system, when a column or a coordinate is all zero,
+    when a single component is left undecided, and when the joined
+    weights fail the gate.
     """
     n, k = columns.shape
     support = columns != 0
@@ -511,11 +512,10 @@ def _split(aeq, beq, columns, tol):
         if isinstance(res, InfeasibleWitness):
             y = np.zeros(aeq.shape[0])
             y[rows] = res.y
-            return InfeasibleWitness(y=y, gap=res.gap, max_violation=float(np.max(y @ aeq)))
+            return InfeasibleWitness(y=y, gap=res.gap)
         x[cols] = res.squares
         margin = min(margin, res.margin)
-    residual = scaling_residual(columns, x)
-    return _certificate(x, residual, margin, columns, tol) if residual <= tol else None
+    return _certificate(x, margin, columns, tol)
 
 
 def _solve(aeq, beq, columns, tol: float):
@@ -524,8 +524,8 @@ def _solve(aeq, beq, columns, tol: float):
     aeq, beq are the rows _scaling_system gives for columns.  Routes, in
     order: _closed_form on the whole system, then _split
     (disjoint-support components, 2-D ones by _gap_rule), then the LP.
-    Returns a certificate whose residual is recomputed on columns (zero
-    columns allowed), or a witness that clears _sound_witness; anything
+    Returns a certificate that passed _certificate on columns (zero
+    columns allowed), or a witness that passed _sound_witness; anything
     else raises NumericalFailure.
     """
     res = _closed_form(aeq, beq, columns, tol)
@@ -569,9 +569,9 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     projection onto the null space of the weights that make a tight frame
     Parseval (c itself is a null vector then, as are the group masses of
     a repeated orbit): v >= -tol max|v| with ||v|| > tol ||c|| answers
-    "found".  Else nonneg_feasible solves [G; 1'] x = (0, 1), x >= 0; as
-    1'x = 1, its witness is a proof when gap > max(max_violation, 0), and
-    NumericalFailure ("undecided") is raised otherwise.
+    "found".  Else nonneg_feasible solves [G; 1'] x = (0, 1), x >= 0, and
+    a witness must pass _sound_witness on its row 1'x = 1, else
+    NumericalFailure ("undecided") is raised.
     """
     aeq, _ = frame._scaling_rows
     c = aeq[:frame.dim].sum(axis=0)
@@ -595,9 +595,8 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     sys_matrix = np.vstack([gram, np.ones((1, k))])
     sys_rhs = np.concatenate([np.zeros(k), [1.0]])
     res = nonneg_feasible(sys_matrix, sys_rhs, tol=tol)
-    if isinstance(res, InfeasibleWitness) and not res.gap > max(res.max_violation, 0.0):
-        raise NumericalFailure(f"undecided: witness gap {res.gap:.3e} does not exceed "
-                               f"its max violation {res.max_violation:.3e}")
+    if isinstance(res, InfeasibleWitness):
+        _sound_witness(res.y, sys_matrix, sys_rhs, np.ones(k), 1.0)
     return gram, null_basis, isinstance(res, Feasible)
 
 

@@ -214,7 +214,6 @@ def certificate_to_json(res) -> dict:
     if isinstance(res, ScalingCertificate):
         return {
             "weights": [float(w) for w in res.weights],
-            "tight_constant": float(res.tight_constant),
             "residual": float(res.residual),
             "strict": bool(res.strict),
             "margin": float(res.margin),
@@ -240,8 +239,9 @@ def certificate_from_json(d):
         raise InputError("certificate object must be a JSON object")
     if "witness" in d:
         y = vector_from_json(d["witness"], "real", "witness")
-        return InfeasibleWitness(y=y, gap=_number(d, "witness_check"), max_violation=0.0)
-    for key in ("weights", "tight_constant", "residual", "strict", "margin"):
+        return InfeasibleWitness(y=y, gap=_number(d, "witness_check"))
+    # files written before tight_constant was dropped still carry it; it is ignored
+    for key in ("weights", "residual", "strict", "margin"):
         if key not in d:
             raise InputError(f"certificate missing key {key!r}")
     w = vector_from_json(d["weights"], "real", "weights")
@@ -249,10 +249,8 @@ def certificate_from_json(d):
         raise InputError("certificate weights must be finite and nonnegative")
     if not isinstance(d["strict"], bool):
         raise InputError("strict must be a boolean")
-    return ScalingCertificate(weights=w, squares=w ** 2,
-                              tight_constant=_number(d, "tight_constant"),
-                              residual=_number(d, "residual"), strict=d["strict"],
-                              margin=_number(d, "margin"))
+    return ScalingCertificate(weights=w, squares=w ** 2, residual=_number(d, "residual"),
+                              strict=d["strict"], margin=_number(d, "margin"))
 
 
 def samples_to_json(samples: SampleSet) -> dict:

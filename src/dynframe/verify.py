@@ -96,7 +96,7 @@ def _check_feasibility(rng, t, tol):
     beq = beq - y0 * min(0.0, (y0 @ beq) - 1.0)
     res2 = nonneg_feasible(proj, beq, tol=tol)
     if isinstance(res2, InfeasibleWitness):
-        if res2.gap <= tol or res2.max_violation > tol:
+        if res2.gap <= tol or np.max(res2.y @ proj) > tol:
             return f"trial {t}: witness fails Farkas inequalities"
     else:
         if np.linalg.norm(proj @ res2.x - beq, np.inf) > 1e-7:

@@ -221,8 +221,7 @@ def _samples_dict():
 
 
 def _certificate_dict():
-    return {"weights": [0.8, 0.8, 0.8], "tight_constant": 1.0, "residual": 0.0,
-            "strict": True, "margin": 0.64}
+    return {"weights": [0.8, 0.8, 0.8], "residual": 0.0, "strict": True, "margin": 0.64}
 
 
 def _witness_dict():
@@ -310,12 +309,12 @@ class TestMalformedFiles:
         assert code == 2 and out == "" and "error" in err
 
     @pytest.mark.parametrize("kind, key, value", [
-        ("certificate", "tight_constant", None),
+        ("certificate", "residual", None),
         ("certificate", "residual", "0.5"),
         ("certificate", "margin", True),
         ("certificate", "margin", float("inf")),
-        pytest.param("certificate", "tight_constant", 10 ** 400,
-                     id="certificate-tight_constant-out-of-range"),
+        pytest.param("certificate", "residual", 10 ** 400,
+                     id="certificate-residual-out-of-range"),
         ("witness", "witness_check", True),
     ])
     def test_certificate_numbers_must_be_finite(self, kind, key, value, mercedes,
@@ -339,6 +338,15 @@ class TestScale:
         assert payload["strict"] is True
         assert payload["residual"] <= 1e-9
         assert np.allclose(payload["weights"], np.sqrt(2.0 / 3.0), atol=1e-9)
+
+    def test_writes_the_keys_the_readme_lists(self, mercedes, tmp_path, capsys):
+        # README, file formats: a certificate is weights, residual, margin
+        # and the strict flag; a witness is the vector and its witness_check
+        _, frame_path = mercedes
+        skew = frame_file(tmp_path, "skew.json", [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]])
+        assert set(json.loads(run(capsys, "scale", frame_path)[1])) == {
+            "weights", "residual", "strict", "margin"}
+        assert set(json.loads(run(capsys, "scale", skew)[1])) == {"witness", "witness_check"}
 
     def test_infeasible_witness(self, tmp_path, capsys):
         path = frame_file(tmp_path, "skew.json",
@@ -445,6 +453,19 @@ class TestReconstruct:
         f_path = frame_file(tmp_path, "f.json", [[0.9, 0.4]])
         code, out, _ = run(capsys, "reconstruct", sys_path, "--simulate",
                            f_path, "--weights", cert_path)
+        assert code == 0
+        assert json.loads(out)["error"] <= 1e-8
+
+    def test_weights_file_with_a_tight_constant(self, mercedes, tmp_path, capsys):
+        # certificates written before tight_constant was dropped still load
+        sys_path, frame_path = mercedes
+        cert_path = tmp_path / "old.json"
+        code, out, _ = run(capsys, "scale", frame_path)
+        assert code == 0
+        cert_path.write_text(json.dumps(dict(json.loads(out), tight_constant=1.0)))
+        f_path = frame_file(tmp_path, "f.json", [[0.9, 0.4]])
+        code, out, _ = run(capsys, "reconstruct", sys_path, "--simulate",
+                           f_path, "--weights", str(cert_path))
         assert code == 0
         assert json.loads(out)["error"] <= 1e-8
 

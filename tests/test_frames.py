@@ -21,6 +21,11 @@ class TestFrameType:
         with pytest.raises(ZeroVector):
             cols([1.0, 0.0], [0.0, 0.0])
 
+    def test_from_vectors_round_trip(self):
+        fr = Frame.from_vectors(PARSEVAL_PM.vectors)
+        assert np.array_equal(fr.matrix, PARSEVAL_PM.matrix)
+        assert Frame.from_vectors([[1.0, 2.0]]).matrix.shape == (2, 1)
+
     def test_rejects_mixed_dims(self):
         with pytest.raises(DimensionMismatch):
             Frame.from_vectors([np.array([1.0, 0.0]), np.array([1.0, 0.0, 0.0])])

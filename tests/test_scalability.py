@@ -24,6 +24,12 @@ def cols(*vectors):
     return Frame(np.column_stack([np.asarray(v) for v in vectors]))
 
 
+def _proves(w, aeq, beq, n):
+    # the solver's witness gate on the trace row of n coordinates, which
+    # recomputes the gap from w.y: it must raise nothing and agree with w
+    return scalability._sound_witness(w.y, aeq, beq, aeq[:n].sum(axis=0), n).gap == w.gap
+
+
 class TestDiagramVector:
     def test_e1_in_r2(self):
         dv = diagram_vector(np.array([1.0, 0.0]))
@@ -339,6 +345,21 @@ class TestWitnessSoundness:
             l = int(rng.integers(1, 13))
         return iterate(DynamicalSystemSpec.single(np.diag(a), v, l))
 
+    def test_stored_gap_is_not_trusted(self, rng, monkeypatch):
+        # the LP hands back its own witness negated, so y'b < 0, with the
+        # stored gap inflated to 1e6: the gate reads y'b off y, so the
+        # solver and the oracle must both leave the system undecided
+        def inflated(aeq, beq, tol=DEFAULT_TOL):
+            real = nonneg_feasible(aeq, beq, tol=tol)
+            assert isinstance(real, InfeasibleWitness)
+            return InfeasibleWitness(y=-real.y, gap=1e6)
+
+        monkeypatch.setattr(scalability, "nonneg_feasible", inflated)
+        with pytest.raises(NumericalFailure, match="undecided"):
+            solve_scaling(self._obstructed_frame())
+        with pytest.raises(NumericalFailure, match="undecided"):
+            gramian_scaling_check(_orthant_frame(rng, 2, 5))
+
     def test_witness_clears_per_column_bound(self):
         frame = self._obstructed_frame()
         res = solve_scaling(frame)
@@ -378,14 +399,14 @@ class TestWitnessSoundness:
         def pushed(fraction):
             s = (fraction * w.gap * norms[i] / 3 - w.y @ aeq[:, i]) / (d @ aeq[:, i])
             y = w.y + s * d
-            return InfeasibleWitness(y=y, gap=float(y @ beq),
-                                     max_violation=float(np.max(y @ aeq)))
+            return InfeasibleWitness(y=y, gap=float(y @ beq))
 
         half = pushed(0.5)
         monkeypatch.setattr(scalability, "nonneg_feasible", lambda *a, **kw: half)
         # still a proof, though max(y'A) / min |f|^2 is some 1e11 times the gap
-        assert half.max_violation * 3 / norms.min() > 1e6 * half.gap
-        assert solve_scaling(frame) is half
+        assert np.max(half.y @ aeq) * 3 / norms.min() > 1e6 * half.gap
+        res = solve_scaling(frame)
+        assert res.y is half.y and res.gap == half.gap
 
         double = pushed(2.0)
         monkeypatch.setattr(scalability, "nonneg_feasible", lambda *a, **kw: double)
@@ -413,7 +434,7 @@ class TestWitnessSoundness:
             frame = Frame(m)
             res = solve_scaling(frame)
             assert isinstance(res, InfeasibleWitness), d
-            assert scalability._sound_witness(res, _scaling_system(m)[0], frame.dim) is res
+            assert _proves(res, *_scaling_system(m), frame.dim)
             assert not gramian_scaling_check(frame)[2], d
 
 
@@ -462,7 +483,35 @@ class TestClosedForm:
                     fast, lp = self._both(frame)
                     assert isinstance(fast, InfeasibleWitness), (n, k)
                     assert isinstance(lp, InfeasibleWitness), (n, k)
-                    assert fast.gap > DEFAULT_TOL and fast.max_violation <= DEFAULT_TOL
+                    aeq = frame._scaling_rows[0]
+                    assert fast.gap > DEFAULT_TOL and np.max(fast.y @ aeq) <= DEFAULT_TOL
+
+    def test_rejected_witness_is_left_to_the_lp(self, rng, monkeypatch):
+        # the gate turns down every witness the closed form offers until
+        # linprog has run: the closed form and the split then leave the
+        # orthant frame to the LP, whose witness is returned as it is
+        from dynframe import numkernel
+
+        frame = _orthant_frame(rng, 3, 4)
+        lp = nonneg_feasible(*frame._scaling_rows)
+        solved, gate, linprog = [], scalability._sound_witness, numkernel.linprog
+
+        def counted(*args, **kwargs):
+            solved.append(True)
+            return linprog(*args, **kwargs)
+
+        def reject_before_lp(y, *args):
+            if not solved:
+                raise NumericalFailure("undecided: turned down")
+            return gate(y, *args)
+
+        monkeypatch.setattr(numkernel, "linprog", counted)
+        monkeypatch.setattr(scalability, "_sound_witness", reject_before_lp)
+        aeq, beq = frame._scaling_rows
+        assert scalability._closed_form(aeq, beq, frame.matrix, DEFAULT_TOL) is None
+        res = solve_scaling(frame)
+        assert solved and isinstance(res, InfeasibleWitness)
+        assert np.array_equal(res.y, lp.y) and res.gap == lp.gap
 
     def test_rank_deficient_system_is_left_to_the_lp(self):
         # the ladder draw (6, 0): 25 operators in a 21-dimensional space,
@@ -494,7 +543,7 @@ class TestClosedForm:
             assert res.residual <= DEFAULT_TOL
         else:
             assert isinstance(res, InfeasibleWitness)
-            assert scalability._sound_witness(res, aeq, frame.dim) is res
+            assert _proves(res, aeq, beq, frame.dim)
         return res
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -534,7 +583,7 @@ class TestClosedForm:
     def test_merged_witness(self, monkeypatch):
         frame = cols([1.0, 0.0], [-1.0, 0.0], [2 ** -0.5, 2 ** -0.5])
         res = self._pinned(frame, monkeypatch)
-        assert res.gap > DEFAULT_TOL and res.max_violation <= DEFAULT_TOL
+        assert res.gap > DEFAULT_TOL and np.max(res.y @ frame._scaling_rows[0]) <= DEFAULT_TOL
 
     def test_long_orbit_merged_past_the_row_count(self, monkeypatch):
         # the shift orbit of e1 to L = 10: 11 columns over 6 rows, so the
@@ -618,7 +667,7 @@ class TestClosedForm:
         res = solve_scaling(frame)
         assert isinstance(res, InfeasibleWitness)
         aeq, beq = _scaling_system(frame.matrix)
-        assert scalability._sound_witness(res, aeq, 4) is res
+        assert _proves(res, aeq, beq, 4)
         assert res.gap == pytest.approx(res.y @ beq)
         assert not gramian_scaling_check(frame)[2]
 
@@ -669,16 +718,16 @@ class TestSplit:
             return solve(*args)
 
     @staticmethod
-    def _check_padded(w, aeq, coords, n):
+    def _check_padded(w, aeq, beq, coords, n):
         # the witness of the component on coordinates coords: zero off
         # that component's rows and a proof on its own system (trace row
-        # of n_b = 2)
-        assert w.max_violation <= DEFAULT_TOL and w.gap > DEFAULT_TOL
+        # of n_b = 2), with that system's gap
+        assert np.max(w.y @ aeq) <= DEFAULT_TOL and w.gap > DEFAULT_TOL
         rows = scalability._component_rows(coords, n, aeq.shape[0] > n * (n + 1) // 2)
         assert not np.any(np.delete(w.y, rows))
         cols = np.flatnonzero(aeq[coords].sum(axis=0) > 0)
-        own = InfeasibleWitness(y=w.y[rows], gap=w.gap, max_violation=w.max_violation)
-        assert scalability._sound_witness(own, aeq[np.ix_(rows, cols)], 2) is own
+        own = InfeasibleWitness(y=w.y[rows], gap=w.gap)
+        assert _proves(own, aeq[np.ix_(rows, cols)], beq[rows], 2)
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_block_rotations_without_the_lp(self, p, rng, monkeypatch):
@@ -692,12 +741,12 @@ class TestSplit:
             aeq, beq = _scaling_system(frame.matrix)
             lp = nonneg_feasible(aeq, beq)
             _, d, reduced = diagonal_reduce(spec)
-            model = build_diagonal_system(np.diag(d), reduced.generators, iters).matrix
+            model = build_diagonal_system(np.diag(d), reduced.generators, iters)
             for res, system, coords in (
-                    (self._without_lp(monkeypatch, solve_scaling, frame), aeq,
+                    (self._without_lp(monkeypatch, solve_scaling, frame), (aeq, beq),
                      np.array([2 * bad, 2 * bad + 1])),
-                    (self._without_lp(monkeypatch, normal_scalability, a, gens, iters), model,
-                     np.flatnonzero(reduced.generators[bad]))):
+                    (self._without_lp(monkeypatch, normal_scalability, a, gens, iters),
+                     (model.matrix, model.rhs), np.flatnonzero(reduced.generators[bad]))):
                 if bad < 0:
                     assert isinstance(lp, Feasible) and isinstance(res, ScalingCertificate)
                     assert res.margin == pytest.approx(lp.margin, abs=1e-9)
@@ -705,7 +754,7 @@ class TestSplit:
                 else:
                     assert isinstance(lp, InfeasibleWitness)
                     assert isinstance(res, InfeasibleWitness)
-                    self._check_padded(res, system, coords, 2 * p)
+                    self._check_padded(res, *system, coords, 2 * p)
 
     @pytest.mark.parametrize("field", ["real", "equator"])
     def test_two_dim_frames_without_the_lp(self, field, rng, monkeypatch):
@@ -722,11 +771,35 @@ class TestSplit:
                 else:
                     phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi, size=k))
                     m = np.vstack([np.ones(k), np.exp(2j * theta)]) * phase * norms
-                res = TestClosedForm._pinned(Frame(m), monkeypatch)
+                frame = Frame(m)
+                res = TestClosedForm._pinned(frame, monkeypatch)
                 if isinstance(res, InfeasibleWitness):
-                    assert res.max_violation <= DEFAULT_TOL and res.gap > DEFAULT_TOL
+                    aeq = frame._scaling_rows[0]
+                    assert np.max(res.y @ aeq) <= DEFAULT_TOL and res.gap > DEFAULT_TOL
                 verdicts.add(type(res))
         assert verdicts == {ScalingCertificate, InfeasibleWitness}
+
+    def test_rejected_max_min_point_is_left_to_the_lp(self, rng, monkeypatch):
+        # at a tol below the raw residual of the gap rule's max-min point
+        # the certificate gate turns it down, and the system goes to the
+        # LP, whose own point (residual 2.5e-15 here) fails the gate too
+        from dynframe import numkernel
+
+        angle = np.pi * (np.arange(5) + rng.uniform(0.0, 0.5, size=5)) / 5  # gaps below pi
+        frame = Frame(np.vstack([np.cos(angle), np.sin(angle)]) * rng.uniform(0.5, 2.0, size=5))
+        aeq, beq = frame._scaling_rows
+        cert = scalability._gap_rule(aeq, beq, frame.matrix, DEFAULT_TOL)
+        assert isinstance(cert, ScalingCertificate) and cert.residual > 0
+        tol = cert.residual / 2
+        assert scalability._gap_rule(aeq, beq, frame.matrix, tol) is None
+        assert scalability._split(aeq, beq, frame.matrix, tol) is None
+        solved = []
+        linprog = numkernel.linprog
+        monkeypatch.setattr(numkernel, "linprog",
+                            lambda *a, **kw: solved.append(True) or linprog(*a, **kw))
+        with pytest.raises(NumericalFailure, match="scaling residual"):
+            solve_scaling(frame, tol)
+        assert solved
 
     def test_basis_plus_one_vector_block(self, rng):
         # an orthonormal basis plus one unit vector in R^2 leaves a
@@ -777,22 +850,28 @@ class TestGramianOracle:
 
     def test_lp_witness_must_exceed_its_violation(self, rng, monkeypatch):
         # a 2 x 5 orthant frame has null dimension 3 and no nonnegative null
-        # vector, so the LP decides; on its row 1'x = 1 a witness is a
-        # proof only when gap > max(max_violation, 0)
+        # vector, so the LP decides; on its row 1'x = 1 a witness y = (g, t)
+        # of [G; 1'] x = (0, 1) is a proof only when its gap t exceeds
+        # max(max_i (y'A)_i, 0), where y'A = g'G + t 1'
         frame = _orthant_frame(rng, 2, 5)
+        gram = gramian_scaling_check(frame)[0]
+        real = nonneg_feasible(np.vstack([gram, np.ones((1, 5))]), np.eye(6)[5])
+        assert isinstance(real, InfeasibleWitness)
+        g = real.y[:5] / -np.max(real.y[:5] @ gram)   # the LP's own g, max(g'G) = -1
 
-        def answer(gap, violation):
-            w = InfeasibleWitness(y=np.zeros(6), gap=gap, max_violation=violation)
-            monkeypatch.setattr(scalability, "nonneg_feasible", lambda *a, **kw: w)
+        def answer(a, t):
+            # y = (a g, t): gap t, and max(y'A) = t - a for a >= 0
+            w = InfeasibleWitness(y=np.append(a * g, t), gap=t)
+            monkeypatch.setattr(scalability, "nonneg_feasible", lambda *args, **kw: w)
             return gramian_scaling_check(frame)
 
         with pytest.raises(NumericalFailure, match="undecided"):
-            answer(1.0, 1.0)
+            answer(0.0, 1.0)                     # violation 1
         with pytest.raises(NumericalFailure, match="undecided"):
-            answer(1.0, 2.0)
-        _, null_basis, found = answer(1.0, 0.5)
+            answer(-1.0, 1.0)                    # violation 1 - min(g'G) >= 2
+        _, null_basis, found = answer(0.5, 1.0)  # violation 0.5
         assert null_basis.shape[1] == 3 and not found
-        assert not answer(1e-3, -1.0)[2]
+        assert not answer(1.001, 1e-3)[2]        # violation -1
 
 
 class TestDiagonalSystems:
