@@ -22,8 +22,7 @@ from .frames import (Frame, FrameReport, FusionDecomposition, analyze,
 from .dynamics import (DualSystem, DynamicalSystemSpec, SampleSet,
                        TransportResult, diagonal_reduce, dynamical_dual,
                        iterate, reconstruct, take_samples, transport)
-from .scalability import (DiagonalScalingSystem, DiagramVector,
-                          ScalingCertificate, build_diagonal_system,
+from .scalability import (ScalingCertificate, build_diagonal_system,
                           diagram_vector, gramian_scaling_check,
                           normal_scalability, real_one_vector_obstruction,
                           solve_scaling, support_pattern_check,
@@ -63,7 +62,7 @@ __all__ = [
     "DualSystem", "DynamicalSystemSpec", "SampleSet", "TransportResult",
     "diagonal_reduce", "dynamical_dual", "iterate", "reconstruct",
     "take_samples", "transport",
-    "DiagonalScalingSystem", "DiagramVector", "ScalingCertificate",
+    "ScalingCertificate",
     "build_diagonal_system", "diagram_vector", "gramian_scaling_check",
     "normal_scalability", "real_one_vector_obstruction",
     "solve_scaling", "support_pattern_check", "tight_via_diagram",

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from . import serialize as ser
-from .dynamics import DynamicalSystemSpec, dynamical_dual, iterate, reconstruct, take_samples
+from .dynamics import (DynamicalSystemSpec, _orbit_system, dynamical_dual, iterate,
+                       reconstruct, take_samples)
 from .errors import (CriterionFailed, DynframeError, InputError, NotAFrame,
                      NotHermitian, NumericalFailure)
 from .frames import analyze
@@ -173,8 +174,7 @@ def _preset_system(args) -> DynamicalSystemSpec:
         big = cons.block_diag(spec)
         gens = tuple(cons.embed(spec, np.array([1.0, 0.0]), t)
                      for t in range(len(blocks)))
-        triples = tuple((0, t, 2) for t in range(len(blocks)))
-        return DynamicalSystemSpec(operators=(big,), generators=gens, triples=triples)
+        return _orbit_system(big, gens, [2] * len(blocks))
 
     if args.preset == "rotation":
         return cons.rotation_system(args.omega, args.n, placement="shift")

@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DynamicalSystemSpec
+from .dynamics import DynamicalSystemSpec, _orbit_system
 from .errors import (AllZeroCoefficients, CriterionFailed, DegenerateTrace,
                      IndexOutOfRange, KTooSmall, ShapeMismatch, ZeroVector)
 from .frames import Frame
@@ -174,7 +174,7 @@ def tight_2x3(a: float, d: float, sign: int = 1) -> TwoParamBlock:
     return TwoParamBlock(a=a, b=float(b), c=float(c), d=d)
 
 
-def check_2x4(p: TwoParamBlock, tol: float = DEFAULT_TOL) -> bool:
+def check_2x4(p: TwoParamBlock) -> bool:
     """Strict scalability of {e1, e2, (a,b), (c,d)}: holds iff abcd < 0.
 
     The sign test is the whole criterion; certificates come from the
@@ -222,14 +222,11 @@ def rotation_system(omega: float, n: int, placement: str = "shift",
         rot_gen = np.zeros(n)
         rot_gen[n - 2] = 1.0
         gens.append(rot_gen)
-        triples = [(0, 0, 2)]
         for l in range(n - 2):
             el = np.zeros(n)
             el[l] = 1.0
             gens.append(el)
-            triples.append((0, l + 1, 1))
-        return DynamicalSystemSpec(operators=(a,), generators=tuple(gens),
-                                   triples=tuple(triples))
+        return _orbit_system(a, gens, [2] + [1] * (n - 2))
 
     raise ValueError(f"unknown placement {placement!r}")
 

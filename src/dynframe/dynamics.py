@@ -7,17 +7,17 @@ L) triples; iterating produces the frame candidate
 
 Powers are built by repeated multiplication so non-diagonalizable
 operators are handled the same way as normal ones.  A spec iterates
-once: its lattice, its columns, their Frame, and S^-1 are formed on
-first use and kept on the spec, which is immutable, so every later call
-on the same spec reads them.  The frame operator S with its eigenvalues
-is kept on that Frame (frames.Frame._spectrum) and read from there.
+once: its lattice, its columns and their Frame are formed on first use
+and kept on the spec, which is immutable, so every later call on the
+same spec reads them.  The frame operator S, its eigenvalues and S^-1
+are kept on that Frame (frames.Frame) and read from there.
 
 The canonical dual of the iterated frame is iterated too: B_s^j g_s =
 S^-1 A_s^j f_s with B_s = S^-1 A_s S and g_s = S^-1 f_s, where S = F F*
 is the frame operator (dynamical_dual builds this system).  Recovering
 f from its samples needs only the dual's synthesis S^-1 F, so
 reconstruct applies S^-1 to F samples instead of iterating the dual.
-S^-1 is inverted once per spec, after the frame check, and the dual and
+S^-1 is inverted once per Frame, after the frame check, and the dual and
 every reconstruction share it.
 """
 
@@ -27,9 +27,9 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, IndexMismatch, NotAFrame, NumericalFailure,
+from .errors import (DimensionMismatch, IndexMismatch, NumericalFailure, ShapeMismatch,
                      SingularTransport, ZeroVector)
-from .frames import Frame, _report
+from .frames import Frame, _require_frame
 from .numkernel import DEFAULT_TOL, _freeze, as_matrix, as_vector, fro, unitary_diagonalize
 
 
@@ -71,7 +71,7 @@ class DynamicalSystemSpec:
 
     @classmethod
     def single(cls, a, f, iters: int) -> "DynamicalSystemSpec":
-        return cls(operators=(a,), generators=(f,), triples=((0, 0, iters),))
+        return _orbit_system(a, (f,), (iters,))
 
     @property
     def dim(self) -> int:
@@ -100,19 +100,17 @@ class DynamicalSystemSpec:
     def _frame(self) -> Frame:
         return Frame(self._columns)
 
-    @property
-    def _spectrum(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The frame operator S = F F* and its ascending eigenvalues, kept
-        on the spec's Frame (Frame._spectrum), their one home."""
-        return self._frame._spectrum
 
-    @cached_property
-    def _inverse(self) -> np.ndarray:
-        """S^-1.  Read it only after _invertible_frame_operator's frame check."""
-        try:
-            return _freeze(np.linalg.inv(self._spectrum[0]))
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(str(exc)) from exc
+def _orbit_system(a, generators, iters) -> DynamicalSystemSpec:
+    """The system {A^j f_s : j = 0..L_s} of one operator a, generators f_s
+    and iteration counts L_s, one count per generator."""
+    gens, iters = tuple(generators), tuple(iters)
+    if not gens:
+        raise ShapeMismatch("need at least one generator")
+    if len(iters) != len(gens):
+        raise ShapeMismatch(f"{len(iters)} iteration counts for {len(gens)} generators")
+    return DynamicalSystemSpec(operators=(a,), generators=gens,
+                               triples=tuple((0, s, l) for s, l in enumerate(iters)))
 
 
 @dataclass(frozen=True)
@@ -178,20 +176,6 @@ def iterate(spec: DynamicalSystemSpec) -> Frame:
     return spec._frame
 
 
-def _invertible_frame_operator(spec: DynamicalSystemSpec, tol: float):
-    """The iterated Frame and its frame operator S; NotAFrame unless S > tol.
-
-    Callers read spec._inverse only after this check, so S^-1 is never
-    formed for a system that is not a frame.
-    """
-    frame = iterate(spec)
-    s_op, lam = spec._spectrum
-    report = _report(lam, tol)
-    if not report.is_frame:
-        raise NotAFrame(f"iterated system has lower bound {report.lower_bound:.3e}")
-    return frame, s_op
-
-
 def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DualSystem:
     """Dual operators and generators, conjugated by the frame operator.
 
@@ -199,10 +183,11 @@ def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DualS
     generated by B_s = S^{-1} A_s S acting on g_s = S^{-1} f_s, with the
     same iteration counts.  Each B_s is the product S^{-1} (A_s S), and
     all g_s come from one product S^{-1} [f_1 ... f_q], with the S^{-1}
-    that the spec keeps.
+    that the iterated Frame keeps.
     """
-    _, s_op = _invertible_frame_operator(spec, tol)
-    s_inv = spec._inverse
+    frame = iterate(spec)
+    _require_frame(frame, tol)
+    s_op, s_inv = frame._spectrum[0], frame._inverse
     ops = tuple(s_inv @ (a @ s_op) for a in spec.operators)
     gens = tuple((s_inv @ np.stack(spec.generators, axis=1)).T)
     return DualSystem(operators=ops, generators=gens, source=spec, frame_op=s_op)
@@ -285,10 +270,10 @@ def reconstruct(spec: DynamicalSystemSpec, samples: SampleSet,
     Without weights the canonical-dual route is used.  The dual frame
     {B_s^j g_s} of the dynamical dual is S^-1 F, so
         f = sum_(s,j) <f, A_s^j f_s> B_s^j g_s = S^-1 (F samples),
-    one product with the S^-1 that the spec keeps (S = F F* is inverted
-    once per spec), with no dual system built or iterated.  With weights
-    w (a scaling certificate making the iterated frame tight), the
-    self-dual route
+    one product with the S^-1 that the iterated Frame keeps (S = F F* is
+    inverted once per Frame), with no dual system built or iterated.
+    With weights w (a scaling certificate making the iterated frame
+    tight), the self-dual route
         f = sum_i w_i^2 <f, v_i> v_i
     over the iterated vectors v_i is used instead.
     """
@@ -296,9 +281,10 @@ def reconstruct(spec: DynamicalSystemSpec, samples: SampleSet,
     if tuple(samples.indices) != lattice:
         raise IndexMismatch("sample index set does not match the system lattice")
     vals = np.asarray(samples.values)
-    frame, _ = _invertible_frame_operator(spec, tol)
+    frame = iterate(spec)
+    _require_frame(frame, tol)
     if weights is None:
-        return spec._inverse @ (frame.matrix @ vals)
+        return frame._inverse @ (frame.matrix @ vals)
 
     w = np.asarray(getattr(weights, "weights", weights), dtype=float).ravel()
     if w.shape[0] != frame.size:

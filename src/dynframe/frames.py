@@ -4,8 +4,9 @@ A frame is stored through its synthesis matrix F (columns f_i).  All
 spectral questions about the frame reduce to the frame operator
 S = F F*, which is Hermitian positive semidefinite; bounds are its
 extreme eigenvalues.  A Frame is the one home of S: it forms S with its
-eigenvalues on first use and keeps them, and a DynamicalSystemSpec reads
-them off the Frame it iterated.  The rows of the frame's scaling system
+eigenvalues on first use and keeps them, and S^-1 too once a frame
+check (_require_frame) has passed; a DynamicalSystemSpec reads all three
+off the Frame it iterated.  The rows of the frame's scaling system
 (_scaling_system), which every scalability route reads, are kept on the
 Frame the same way.
 """
@@ -80,7 +81,7 @@ class Frame:
         return fro(self.matrix - other.matrix) <= tol * max(1.0, fro(self.matrix))
 
     # The memos below are derived from the read-only matrix of a frozen
-    # Frame, so neither can go stale; their arrays are read-only.  A Frame
+    # Frame, so none can go stale; their arrays are read-only.  A Frame
     # built again from the same matrix gets its own.  A member that raises
     # keeps nothing and raises again on the next use.
 
@@ -89,6 +90,15 @@ class Frame:
         """The frame operator S = F F* and its ascending eigenvalues."""
         s_op = frame_operator(self)
         return _freeze(s_op), _freeze(_eigenvalues(s_op))
+
+    @cached_property
+    def _inverse(self):
+        """S^-1.  Read it only after _require_frame, so that S^-1 is never
+        formed for a Frame that is not a frame."""
+        try:
+            return _freeze(np.linalg.inv(self._spectrum[0]))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(str(exc)) from exc
 
     @cached_property
     def _scaling_rows(self):
@@ -157,19 +167,7 @@ def analyze(frame: Frame, tol: float = DEFAULT_TOL) -> FrameReport:
     makes S exactly Hermitian), once per Frame; a LAPACK failure raises
     NumericalFailure.
     """
-    return _report(frame._spectrum[1], tol)
-
-
-def _eigenvalues(s) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian S; a LAPACK failure is a NumericalFailure."""
-    try:
-        return np.linalg.eigvalsh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(str(exc)) from exc
-
-
-def _report(lam, tol: float) -> FrameReport:
-    """The frame report read off the ascending eigenvalues lam of S."""
+    lam = frame._spectrum[1]
     lower = float(lam[0])
     upper = float(lam[-1])
     is_frame = lower > tol
@@ -180,11 +178,24 @@ def _report(lam, tol: float) -> FrameReport:
                        is_tight=is_tight, tight_constant=constant, parseval=parseval)
 
 
-def canonical_dual(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
-    """The canonical dual {S^{-1} f_i}, solved with S by LU."""
+def _eigenvalues(s) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian S; a LAPACK failure is a NumericalFailure."""
+    try:
+        return np.linalg.eigvalsh(s)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(str(exc)) from exc
+
+
+def _require_frame(frame: Frame, tol: float) -> None:
+    """Raise NotAFrame unless the lower frame bound of frame is above tol."""
     report = analyze(frame, tol)
     if not report.is_frame:
         raise NotAFrame(f"lower bound {report.lower_bound:.3e} is not positive")
+
+
+def canonical_dual(frame: Frame, tol: float = DEFAULT_TOL) -> Frame:
+    """The canonical dual {S^{-1} f_i}, solved with S by LU."""
+    _require_frame(frame, tol)
     return Frame(np.linalg.solve(frame._spectrum[0], frame.matrix))
 
 

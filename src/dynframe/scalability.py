@@ -31,8 +31,9 @@ these routes, in this order (_solve):
 
 Every route returns through one gate per kind of answer, which judges
 it from its vector and the system alone: _certificate (x >= 0, residual
-on the raw columns within tol) and _sound_witness (y'b above the most
-y'A x reaches on the trace row, or on the oracle's row 1'x = 1).
+on the raw columns within tol, margin min x) and _sound_witness (y'b
+above the most y'A x reaches on the trace row, or on the oracle's row
+1'x = 1).
 
 The agreement of the solver and the oracle is a checked invariant,
 never assumed.  Every route on a Frame reads the same rows of its
@@ -44,7 +45,8 @@ when min_i c_i x_i > tol, which no rescaling of the columns changes.
 
 For normal A = U D U*, normal_scalability solves the diagonal model
 {D^j U* f_s} (diagonal_reduce), iterated like any other spec, by these
-routes; build_diagonal_system gives its rows as an LP-only reference.
+routes; build_diagonal_system gives its rows (aeq, beq) as an LP-only
+reference.
 """
 
 from dataclasses import dataclass, replace
@@ -52,8 +54,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DynamicalSystemSpec, diagonal_reduce, iterate_columns
-from .errors import NumericalFailure, ShapeMismatch, TemplateMismatch, ZeroVector
+from .dynamics import _orbit_system, diagonal_reduce, iterate_columns
+from .errors import NumericalFailure, TemplateMismatch, ZeroVector
 from .frames import Frame, _pairs, _scaling_system
 from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, as_vector, fro,
                         hermitian_eig, nonneg_feasible)
@@ -80,23 +82,6 @@ _GAP_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
-class DiagramVector:
-    """Real-equivalent diagram vector of a single frame vector.
-
-    Real field: n(n-1) entries, all pairs i<j contributing one
-    difference f(i)^2 - f(j)^2 and one product sqrt(2n) f(i) f(j).
-    Complex field: 3n(n-1)/2 entries; differences |f(i)|^2 - |f(j)|^2
-    followed by the products sqrt(n) f(i) conj(f(j)) stored re/im per
-    pair.  Everything carries the 1/sqrt(n-1) prefactor; n = 1 gives an
-    empty vector.
-    """
-
-    dim: int
-    field: str
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class ScalingCertificate:
     """Nonnegative weights making {w_i f_i} tight (Parseval: lambda = 1)."""
 
@@ -107,23 +92,17 @@ class ScalingCertificate:
     margin: float            # maximized min x_i
 
 
-@dataclass(frozen=True)
-class DiagonalScalingSystem:
-    """Equality system for weights of an iterated diagonal-operator frame.
+def diagram_vector(f, field: Optional[str] = None) -> np.ndarray:
+    """Real-equivalent diagram vector of a nonzero vector, in the frame's
+    field convention.
 
-    Unknowns w^2_{s,j} are ordered generators-outer, powers-inner, the
-    same order iterate() lists the frame vectors.  Rows: one per
-    diagonal index i (rhs 1), then the real parts for pairs i<j (rhs 0),
-    then, over a complex field, the imaginary parts for those pairs.
+    Real field: n(n-1) entries, all pairs i<j contributing one
+    difference f(i)^2 - f(j)^2 and one product sqrt(2n) f(i) f(j).
+    Complex field: 3n(n-1)/2 entries; differences |f(i)|^2 - |f(j)|^2
+    followed by the products sqrt(n) f(i) conj(f(j)) stored re/im per
+    pair.  Everything carries the 1/sqrt(n-1) prefactor; n = 1 gives an
+    empty vector.
     """
-
-    matrix: np.ndarray       # real equality matrix
-    rhs: np.ndarray
-    unknown_index: tuple     # ((s, j), ...) column labels
-
-
-def diagram_vector(f, field: Optional[str] = None) -> DiagramVector:
-    """Diagram vector of a nonzero vector, in the frame's field convention."""
     f = as_vector(f)
     if np.linalg.norm(f) == 0.0:
         raise ZeroVector("diagram vector of the zero vector is undefined")
@@ -131,7 +110,7 @@ def diagram_vector(f, field: Optional[str] = None) -> DiagramVector:
         field = "complex" if np.iscomplexobj(f) else "real"
     n = f.shape[0]
     if n == 1:
-        return DiagramVector(dim=1, field=field, entries=np.zeros(0))
+        return np.zeros(0)
     scale = 1.0 / np.sqrt(n - 1.0)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if field == "real":
@@ -148,7 +127,7 @@ def diagram_vector(f, field: Optional[str] = None) -> DiagramVector:
             p = np.sqrt(float(n)) * fc[i] * fc[j].conjugate()
             prods.extend([p.real, p.imag])
         entries = scale * np.array(diffs + prods)
-    return DiagramVector(dim=n, field=field, entries=entries)
+    return entries
 
 
 def _diagram_rows(aeq, n: int, cplx: bool) -> np.ndarray:
@@ -215,14 +194,15 @@ def _checked_witness(y, aeq, beq, n: int, tol: float):
     return w if w.gap > tol else None
 
 
-def _certificate(x, margin, columns, tol):
+def _certificate(x, columns, tol):
     """The certificate of weights x over the columns f_i, or None when x
     has a negative entry or a residual, recomputed on the columns, above tol.
 
     strict records min_i c_i x_i > tol over the nonzero columns, with
     c_i = |f_i|^2: c_i x_i are the weights of the unit columns, which sum
     to n (the trace row) and do not change when a column is rescaled, as
-    strict scalability does not.  margin is the max-min of x itself.
+    strict scalability does not.  margin is min x itself, which is the
+    max-min of x because every route hands in its max-min point.
     """
     if x.min() < 0:
         return None
@@ -232,7 +212,7 @@ def _certificate(x, margin, columns, tol):
     c = np.sum(np.abs(columns) ** 2, axis=0)
     strict = bool(np.min(c * x, where=c > 0, initial=np.inf) > tol)
     return ScalingCertificate(weights=np.sqrt(x), squares=x, residual=residual,
-                              strict=strict, margin=margin)
+                              strict=strict, margin=float(x.min()))
 
 
 def _nonsingular(gram) -> bool:
@@ -264,7 +244,7 @@ def _forced(gram, group, mass, aeq, beq, columns, tol):
     n = columns.shape[0]
     unit_x = np.linalg.solve(gram, np.ones(gram.shape[0]))
     x = unit_x[group] / mass[group]
-    cert = _certificate(x, float(x.min()), columns, tol)
+    cert = _certificate(x, columns, tol)
     if cert is not None:
         return cert
     w = np.ones(aeq.shape[0])
@@ -354,14 +334,14 @@ def _closed_form(aeq, beq, columns, tol):
         if forced is not None:
             return forced
     x = np.full(k, n / norms.sum())
-    return _certificate(x, float(x[0]), columns, tol)
+    return _certificate(x, columns, tol)
 
 
 def _lp(aeq, beq, columns, tol):
     """Decide aeq x = beq, x >= 0 by the max-min LP.
 
     Returns a certificate that passes _certificate on the n x k matrix
-    columns (x clipped at 0, with the LP's own margin), or a witness that
+    columns (x clipped at 0), or a witness that
     clears _sound_witness on the trace row; anything else raises
     NumericalFailure.
     """
@@ -370,7 +350,7 @@ def _lp(aeq, beq, columns, tol):
     if isinstance(res, InfeasibleWitness):
         return _sound_witness(res.y, aeq, beq, aeq[:n].sum(axis=0), n)
     x = np.clip(res.x, 0.0, None)
-    cert = _certificate(x, res.margin, columns, tol)
+    cert = _certificate(x, columns, tol)
     if cert is None:
         raise NumericalFailure(f"scaling residual {scaling_residual(columns, x):.3e} "
                                f"exceeds tolerance {tol:.1e}")
@@ -439,7 +419,7 @@ def _gap_rule(aeq, beq, columns, tol):
     x = np.full(c.size, t)
     x[ja] += lam * rest / c[ja]
     x[jb] += (1.0 - lam) * rest / c[jb]
-    return _certificate(x, float(x.min()), columns, tol)
+    return _certificate(x, columns, tol)
 
 
 def _component_rows(idx, n: int, cplx: bool):
@@ -482,8 +462,8 @@ def _split(aeq, beq, columns, tol):
     is block diagonal and each component is a scaling system of its own
     n_b coordinates.  A 2-D component goes to _gap_rule first, and any
     component it leaves undecided to _closed_form and then the LP.  The
-    certificate joins the component weights, with the least component
-    margin, and passes _certificate on all columns; a witness is one
+    certificate joins the component weights and passes _certificate on
+    all columns; a witness is one
     infeasible component's y and gap, sound at n_b, padded with zeros into
     the full row order.  A single component gets only the gap rule (the
     caller's _closed_form has already run on it).  Returns None, for the
@@ -500,7 +480,6 @@ def _split(aeq, beq, columns, tol):
         return _gap_rule(aeq, beq, columns, tol) if n == 2 else None
     cplx = np.iscomplexobj(columns)
     x = np.empty(k)
-    margin = np.inf
     for idx, cols in parts:
         rows = _component_rows(idx, n, cplx)
         sub = (aeq[np.ix_(rows, cols)], beq[rows], columns[np.ix_(idx, cols)])
@@ -514,8 +493,7 @@ def _split(aeq, beq, columns, tol):
             y[rows] = res.y
             return InfeasibleWitness(y=y, gap=res.gap)
         x[cols] = res.squares
-        margin = min(margin, res.margin)
-    return _certificate(x, margin, columns, tol)
+    return _certificate(x, columns, tol)
 
 
 def _solve(aeq, beq, columns, tol: float):
@@ -600,24 +578,19 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     return gram, null_basis, isinstance(res, Feasible)
 
 
-def build_diagonal_system(a, generators, iters) -> DiagonalScalingSystem:
-    """Weight equations for the frame {D^j v_s} with D = diag(a).
+def build_diagonal_system(a, generators, iters):
+    """Weight equations (aeq, beq) for the frame {D^j v_s} with D = diag(a).
 
     Diagonal rows demand sum_s |x_s(i)|^2 sum_j w^2_{s,j} |a_i|^{2j} = 1;
     each pair i<j demands sum_s x_s(i) conj(x_s(j)) sum_j w^2_{s,j}
     (a_i conj(a_j))^j = 0, split into real and imaginary parts over a
     complex field.  These are the rows _scaling_system gives for the
-    columns D^j v_s of the spec (D, v_s, L_s), which checks its inputs.
+    columns D^j v_s of the spec (D, v_s, L_s), which checks its inputs;
+    the unknowns w^2_{s,j} follow its lattice(), generators outer and
+    powers inner.
     """
-    gens, iters = tuple(generators), tuple(iters)
-    if not gens:
-        raise ShapeMismatch("need at least one generator")
-    if len(iters) != len(gens):
-        raise ShapeMismatch(f"{len(iters)} iteration counts for {len(gens)} generators")
-    spec = DynamicalSystemSpec(operators=(np.diag(a),), generators=gens,
-                               triples=tuple((0, s, l) for s, l in enumerate(iters)))
-    aeq, beq = _scaling_system(iterate_columns(spec))
-    return DiagonalScalingSystem(matrix=aeq, rhs=beq, unknown_index=spec.lattice())
+    spec = _orbit_system(np.diag(a), generators, iters)
+    return _scaling_system(iterate_columns(spec))
 
 
 def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
@@ -633,8 +606,7 @@ def normal_scalability(a, generators, iters, tol: float = DEFAULT_TOL):
     original iterates A^j f_s, where the certificate residual is
     evaluated again.
     """
-    spec = DynamicalSystemSpec(operators=(a,), generators=generators,
-                               triples=tuple((0, s, l) for s, l in enumerate(iters)))
+    spec = _orbit_system(a, generators, iters)
     _, _, reduced = diagonal_reduce(spec, tol)
     columns = iterate_columns(reduced)
     res = _solve(*_scaling_system(columns), columns, tol)

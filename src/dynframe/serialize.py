@@ -245,8 +245,8 @@ def certificate_from_json(d):
         if key not in d:
             raise InputError(f"certificate missing key {key!r}")
     w = vector_from_json(d["weights"], "real", "weights")
-    if not (np.isfinite(w).all() and (w >= 0).all()):
-        raise InputError("certificate weights must be finite and nonnegative")
+    if not (w >= 0).all():
+        raise InputError("certificate weights must be nonnegative")
     if not isinstance(d["strict"], bool):
         raise InputError("strict must be a boolean")
     return ScalingCertificate(weights=w, squares=w ** 2, residual=_number(d, "residual"),

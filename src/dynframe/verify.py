@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import constructions as cons
-from .dynamics import (DynamicalSystemSpec, dynamical_dual, iterate, take_samples,
-                       transport, reconstruct)
+from .dynamics import (DynamicalSystemSpec, _orbit_system, dynamical_dual, iterate,
+                       take_samples, transport, reconstruct)
 from .errors import DynframeError
 from .frames import Frame, analyze, canonical_dual, frame_operator, fusion_check
 from .instances import (random_diagonal_data, random_frame, random_invertible,
@@ -349,10 +349,9 @@ def _check_diagonal_equivalence(rng, t, tol):
     field = "complex" if t % 2 else "real"
     n_gens = int(rng.integers(1, 3))
     a, gens, iters = random_diagonal_data(rng, n, field=field, n_gens=n_gens)
-    system = build_diagonal_system(a, gens, iters)
-    via_system = _feasible(nonneg_feasible(system.matrix, system.rhs, tol=tol))
-    spec = DynamicalSystemSpec(operators=(np.diag(a),), generators=tuple(gens),
-                               triples=tuple((0, s, l) for s, l in enumerate(iters)))
+    aeq, beq = build_diagonal_system(a, gens, iters)
+    via_system = _feasible(nonneg_feasible(aeq, beq, tol=tol))
+    spec = _orbit_system(np.diag(a), gens, iters)
     via_frame = _feasible(solve_scaling(iterate(spec), tol=tol))
     if via_system != via_frame:
         return f"trial {t}: diagonal system {via_system}, direct solve {via_frame}"
@@ -421,7 +420,7 @@ def _check_construction_certificates(rng, t, tol):
     vals = rng.uniform(0.3, 1.5, size=4) * rng.choice([-1.0, 1.0], size=4)
     p4 = cons.TwoParamBlock(*vals)
     frame4 = Frame(np.array([[1.0, 0.0, p4.a, p4.c], [0.0, 1.0, p4.b, p4.d]]))
-    if cons.check_2x4(p4, tol) != _strict(frame4, tol):
+    if cons.check_2x4(p4) != _strict(frame4, tol):
         return f"trial {t}: four-vector criterion and solver disagree"
 
     # orthogonal pair: first-column (0, b) case

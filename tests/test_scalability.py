@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from dynframe import constructions as cons
 from dynframe import frames, scalability
-from dynframe.dynamics import DynamicalSystemSpec, iterate
-from dynframe.errors import NotNormal, NumericalFailure, TemplateMismatch, ZeroVector
+from dynframe.dynamics import (DynamicalSystemSpec, dynamical_dual, iterate, reconstruct,
+                               take_samples)
+from dynframe.errors import (NotNormal, NumericalFailure, ShapeMismatch, TemplateMismatch,
+                             ZeroVector)
 from dynframe.frames import Frame, analyze
 from dynframe.instances import (random_diagonal_data, random_parseval,
                                 random_scalable_frame, random_unitary)
@@ -33,37 +35,37 @@ def _proves(w, aeq, beq, n):
 class TestDiagramVector:
     def test_e1_in_r2(self):
         dv = diagram_vector(np.array([1.0, 0.0]))
-        assert np.allclose(dv.entries, [1.0, 0.0])
+        assert np.allclose(dv, [1.0, 0.0])
 
     def test_diagonal_unit_in_r2(self):
         dv = diagram_vector(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        assert np.allclose(dv.entries, [0.0, 1.0])
+        assert np.allclose(dv, [0.0, 1.0])
 
     def test_e1_in_r3(self):
         dv = diagram_vector(np.array([1.0, 0.0, 0.0]))
         s = 1.0 / np.sqrt(2.0)
         # differences for pairs (0,1), (0,2), (1,2), then products
-        assert np.allclose(dv.entries, [s, s, 0.0, 0.0, 0.0, 0.0])
+        assert np.allclose(dv, [s, s, 0.0, 0.0, 0.0, 0.0])
 
     def test_real_length(self):
         for n in range(2, 6):
             dv = diagram_vector(np.arange(1.0, n + 1.0))
-            assert len(dv.entries) == n * (n - 1)
+            assert len(dv) == n * (n - 1)
 
     def test_complex_length_and_values(self):
         dv = diagram_vector(np.array([1.0, 1.0j]) / np.sqrt(2.0))
-        assert len(dv.entries) == 3
-        assert np.allclose(dv.entries, [0.0, 0.0, -1.0 / np.sqrt(2.0)])
+        assert len(dv) == 3
+        assert np.allclose(dv, [0.0, 0.0, -1.0 / np.sqrt(2.0)])
         for n in range(2, 6):
             v = np.arange(1.0, n + 1.0) + 1.0j
-            assert len(diagram_vector(v).entries) == 3 * n * (n - 1) // 2
+            assert len(diagram_vector(v)) == 3 * n * (n - 1) // 2
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroVector):
             diagram_vector(np.zeros(3))
 
     def test_dimension_one_is_empty(self):
-        assert len(diagram_vector(np.array([2.0])).entries) == 0
+        assert len(diagram_vector(np.array([2.0]))) == 0
 
     def test_all_columns_match_reference(self, rng):
         for n in range(1, 9):
@@ -73,7 +75,7 @@ class TestDiagramVector:
                     m = m + 1j * rng.standard_normal((n, 6))
                 got = _diagram_rows(_scaling_system(m)[0], n, field == "complex")
                 ref = np.column_stack(
-                    [diagram_vector(m[:, i], field=field).entries for i in range(6)])
+                    [diagram_vector(m[:, i], field=field) for i in range(6)])
                 if field == "complex":
                     # diagram_vector alternates re and im per pair; the rows
                     # read off _scaling_system give all re, then all im
@@ -149,10 +151,9 @@ class TestScalingKernel:
                 operators=(np.diag(a),), generators=tuple(gens),
                 triples=tuple((0, g, l) for g, l in enumerate(iters)))
             rows, rhs = _scaling_system(iterate(spec).matrix)
-            system = build_diagonal_system(a, gens, iters)
-            assert np.array_equal(system.matrix, rows)
-            assert np.array_equal(system.rhs, rhs)
-            assert system.unknown_index == spec.lattice()
+            aeq, beq = build_diagonal_system(a, gens, iters)
+            assert np.array_equal(aeq, rows)
+            assert np.array_equal(beq, rhs)
 
 
 class TestTightViaDiagram:
@@ -269,7 +270,9 @@ class TestFrameMemo:
 
     def test_a_spec_reads_s_off_its_frame(self):
         spec = DynamicalSystemSpec.single(np.diag([1.0, -1.0]), [0.5, 0.5], 3)
-        assert spec._spectrum is iterate(spec)._spectrum
+        assert dynamical_dual(spec).frame_op is iterate(spec)._spectrum[0]
+        reconstruct(spec, take_samples(spec, [1.0, 2.0]))
+        assert "_inverse" in vars(iterate(spec)) and "_inverse" not in vars(spec)
 
 
 class TestRankTest:
@@ -521,7 +524,9 @@ class TestClosedForm:
         frame, _ = random_scalable_frame(rng, 6, int(rng.integers(12, 30)))
         fast, lp = self._both(frame)
         assert fast is None
-        assert solve_scaling(frame).margin == pytest.approx(lp.margin, abs=1e-9)
+        cert = solve_scaling(frame)
+        assert cert.margin == pytest.approx(lp.margin, abs=1e-9)
+        assert cert.margin == cert.squares.min()
 
     @staticmethod
     def _pinned(frame, monkeypatch):
@@ -540,6 +545,7 @@ class TestClosedForm:
         if isinstance(lp, Feasible):
             assert isinstance(res, ScalingCertificate)
             assert res.margin == pytest.approx(lp.margin, abs=1e-9)
+            assert res.margin == res.squares.min()  # the gate's rule, on every route
             assert res.residual <= DEFAULT_TOL
         else:
             assert isinstance(res, InfeasibleWitness)
@@ -746,10 +752,11 @@ class TestSplit:
                     (self._without_lp(monkeypatch, solve_scaling, frame), (aeq, beq),
                      np.array([2 * bad, 2 * bad + 1])),
                     (self._without_lp(monkeypatch, normal_scalability, a, gens, iters),
-                     (model.matrix, model.rhs), np.flatnonzero(reduced.generators[bad]))):
+                     model, np.flatnonzero(reduced.generators[bad]))):
                 if bad < 0:
                     assert isinstance(lp, Feasible) and isinstance(res, ScalingCertificate)
                     assert res.margin == pytest.approx(lp.margin, abs=1e-9)
+                    assert res.margin == res.squares.min()
                     assert scaling_residual(frame, res.squares) <= DEFAULT_TOL
                 else:
                     assert isinstance(lp, InfeasibleWitness)
@@ -876,13 +883,12 @@ class TestGramianOracle:
 
 class TestDiagonalSystems:
     def test_sign_flip_system_rows(self):
-        system = build_diagonal_system([1.0, -1.0], [np.array([0.5, 0.5])], [3])
+        aeq, beq = build_diagonal_system([1.0, -1.0], [np.array([0.5, 0.5])], [3])
         expect = np.array([[0.25, 0.25, 0.25, 0.25],
                            [0.25, 0.25, 0.25, 0.25],
                            [0.25, -0.25, 0.25, -0.25]])
-        assert np.allclose(system.matrix, expect)
-        assert np.allclose(system.rhs, [1.0, 1.0, 0.0])
-        assert system.unknown_index == ((0, 0), (0, 1), (0, 2), (0, 3))
+        assert np.allclose(aeq, expect)
+        assert np.allclose(beq, [1.0, 1.0, 0.0])
 
     def test_sign_flip_solves_with_unit_weights(self):
         cert = normal_scalability(np.diag([1.0, -1.0]), [np.array([0.5, 0.5])], [3])
@@ -902,6 +908,20 @@ class TestDiagonalSystems:
         res = normal_scalability(np.diag([1.0, -1.0, 2.0]),
                                  [np.array([0.3, 0.7, 0.4])], [5])
         assert isinstance(res, InfeasibleWitness)
+
+    @pytest.mark.parametrize("entry", [normal_scalability, build_diagonal_system])
+    @pytest.mark.parametrize("gens, iters", [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], [2]),   # more generators than counts
+        ([[1.0, 0.0, 0.0]], [2, 3]),                  # more counts than generators
+        ([], []),                                     # no generators
+    ])
+    def test_one_count_per_generator(self, entry, gens, iters):
+        # both entries build the orbit system {A^j f_s} through the same
+        # checks, so neither can drop a generator or a count silently;
+        # normal_scalability takes the operator, build_diagonal_system its diagonal
+        a = [1.0, -1.0, 0.5]
+        with pytest.raises(ShapeMismatch):
+            entry(np.diag(a) if entry is normal_scalability else a, gens, iters)
 
     def test_normal_scalability_rejects_non_normal(self):
         with pytest.raises(NotNormal):
