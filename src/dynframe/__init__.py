@@ -19,9 +19,9 @@ from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, fro,
 from .frames import (Frame, FrameReport, FusionDecomposition, analyze,
                      canonical_dual, frame_operator, fusion_check,
                      verify_duality)
-from .dynamics import (DualSystem, DynamicalSystemSpec, SampleSet,
-                       TransportResult, diagonal_reduce, dynamical_dual,
-                       iterate, reconstruct, take_samples, transport)
+from .dynamics import (DynamicalSystemSpec, SampleSet, TransportResult,
+                       diagonal_reduce, dynamical_dual, iterate, reconstruct,
+                       take_samples, transport)
 from .scalability import (ScalingCertificate, build_diagonal_system,
                           diagram_vector, gramian_scaling_check,
                           normal_scalability, real_one_vector_obstruction,
@@ -59,7 +59,7 @@ __all__ = [
     "inner", "nonneg_feasible", "svd_rank", "unitary_diagonalize",
     "Frame", "FrameReport", "FusionDecomposition", "analyze",
     "canonical_dual", "frame_operator", "fusion_check", "verify_duality",
-    "DualSystem", "DynamicalSystemSpec", "SampleSet", "TransportResult",
+    "DynamicalSystemSpec", "SampleSet", "TransportResult",
     "diagonal_reduce", "dynamical_dual", "iterate", "reconstruct",
     "take_samples", "transport",
     "ScalingCertificate",

@@ -117,8 +117,7 @@ def cmd_scale(args, tol) -> int:
 
 def cmd_dual(args, tol) -> int:
     spec = _load_system(args.system)
-    dual = dynamical_dual(spec, tol)
-    _emit(ser.system_to_json(dual.as_spec()), args.out)
+    _emit(ser.system_to_json(dynamical_dual(spec, tol)), args.out)
     return EXIT_OK
 
 

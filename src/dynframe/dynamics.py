@@ -14,11 +14,11 @@ are kept on that Frame (frames.Frame) and read from there.
 
 The canonical dual of the iterated frame is iterated too: B_s^j g_s =
 S^-1 A_s^j f_s with B_s = S^-1 A_s S and g_s = S^-1 f_s, where S = F F*
-is the frame operator (dynamical_dual builds this system).  Recovering
-f from its samples needs only the dual's synthesis S^-1 F, so
-reconstruct applies S^-1 to F samples instead of iterating the dual.
-S^-1 is inverted once per Frame, after the frame check, and the dual and
-every reconstruction share it.
+is the frame operator; dynamical_dual returns it as a spec, made once
+per spec.  Recovering f from its samples needs only the dual's
+synthesis S^-1 F, so reconstruct applies S^-1 to F samples instead of
+iterating the dual.  S^-1 is inverted once per Frame, after the frame
+check, and the dual and every reconstruction share it.
 """
 
 from dataclasses import dataclass
@@ -94,11 +94,23 @@ class DynamicalSystemSpec:
     @cached_property
     def _columns(self) -> np.ndarray:
         """The iterated columns, zero iterates kept."""
-        return _freeze(iterate_columns(self))  # so that _frame keeps it without a copy
+        return _freeze(iterate_columns(self))
 
     @cached_property
     def _frame(self) -> Frame:
         return Frame(self._columns)
+
+    @cached_property
+    def _dual(self) -> "DynamicalSystemSpec":
+        """The dual system of dynamical_dual.  Like Frame._inverse, read it
+        only after _require_frame, so that no system that is not a frame
+        gets a dual."""
+        frame = self._frame
+        s_op, s_inv = frame._spectrum[0], frame._inverse
+        return DynamicalSystemSpec(
+            operators=tuple(s_inv @ (a @ s_op) for a in self.operators),
+            generators=tuple((s_inv @ np.stack(self.generators, axis=1)).T),
+            triples=self.triples)
 
 
 def _orbit_system(a, generators, iters) -> DynamicalSystemSpec:
@@ -114,23 +126,8 @@ def _orbit_system(a, generators, iters) -> DynamicalSystemSpec:
 
 
 @dataclass(frozen=True)
-class DualSystem:
-    """Canonical dual of an iterated system: B_s = S^{-1} A_s S, g_s = S^{-1} f_s."""
-
-    operators: tuple
-    generators: tuple
-    source: DynamicalSystemSpec
-    frame_op: np.ndarray     # S of the source system, read-only
-
-    def as_spec(self) -> DynamicalSystemSpec:
-        return DynamicalSystemSpec(operators=self.operators,
-                                   generators=self.generators,
-                                   triples=self.source.triples)
-
-
-@dataclass(frozen=True)
 class SampleSet:
-    """Values <A_s*^j f, g_s> on the (triple, power) lattice of a system."""
+    """Values <A_s*^j f, f_s> on the (triple, power) lattice of a system."""
 
     indices: tuple           # ((s, j), ...) in system order
     values: tuple            # matching scalars
@@ -176,21 +173,19 @@ def iterate(spec: DynamicalSystemSpec) -> Frame:
     return spec._frame
 
 
-def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DualSystem:
-    """Dual operators and generators, conjugated by the frame operator.
+def dynamical_dual(spec: DynamicalSystemSpec, tol: float = DEFAULT_TOL) -> DynamicalSystemSpec:
+    """The canonical dual system, conjugated by the frame operator.
 
     The canonical dual of the iterated frame is itself iterated: it is
     generated by B_s = S^{-1} A_s S acting on g_s = S^{-1} f_s, with the
     same iteration counts.  Each B_s is the product S^{-1} (A_s S), and
     all g_s come from one product S^{-1} [f_1 ... f_q], with the S^{-1}
-    that the iterated Frame keeps.
+    that the iterated Frame keeps.  The dual is built on the first call
+    that passes the frame check, and later calls with the same spec
+    return the same one.
     """
-    frame = iterate(spec)
-    _require_frame(frame, tol)
-    s_op, s_inv = frame._spectrum[0], frame._inverse
-    ops = tuple(s_inv @ (a @ s_op) for a in spec.operators)
-    gens = tuple((s_inv @ np.stack(spec.generators, axis=1)).T)
-    return DualSystem(operators=ops, generators=gens, source=spec, frame_op=s_op)
+    _require_frame(iterate(spec), tol)
+    return spec._dual
 
 
 def transport(spec: DynamicalSystemSpec, b, tol: float = DEFAULT_TOL) -> TransportResult:

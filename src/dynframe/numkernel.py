@@ -15,7 +15,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,42 +50,28 @@ def field_of(arr) -> str:
     return "complex" if np.iscomplexobj(arr) else "real"
 
 
-# The read-only arrays made and frozen here, by id: only these are kept
-# without a copy.  An entry goes when its array does, so an id cannot
-# outlive the array it names.
-_OWN = weakref.WeakValueDictionary()
-
-
 def _freeze(a):
-    """Make a, a fresh array of dynframe's, read-only and mark it as one
-    that as_matrix and as_vector keep without a copy; returns a."""
+    """Make a read-only; returns a."""
     a.setflags(write=False)
-    _OWN[id(a)] = a
     return a
 
 
 def _frozen(data, field, ndim, kind):
     dtype = complex if field == "complex" else (float if field == "real" else None)
-    a = data if _kept(data, dtype) else np.array(data, dtype=dtype)
+    a = np.array(data, dtype=dtype)
     if a.ndim != ndim:
         raise ValueError(f"expected a {kind}, got ndim={a.ndim}")
     if a.dtype not in (np.float64, np.complex128):
         a = a.astype(complex if np.iscomplexobj(a) else float)
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{kind} entries must be finite")
-    return a if a is data else _freeze(a)
-
-
-def _kept(data, dtype) -> bool:
-    """Whether data is kept without a copy: an array that _freeze froze (of
-    the field asked for).  A caller's array is always copied, read-only or
-    not: the caller can make it writable again and write to it."""
-    return _OWN.get(id(data)) is data and (dtype is None or data.dtype == dtype)
+    return _freeze(a)
 
 
 def as_matrix(data, field=None):
     """A read-only float64 or complex128 copy of a 2-d array; entries must be
-    finite.  An array that dynframe froze itself is returned without a copy."""
+    finite.  Every array is copied, a read-only one too, so that no caller
+    holds what dynframe keeps: an owner can make its array writable again."""
     return _frozen(data, field, 2, "matrix")
 
 

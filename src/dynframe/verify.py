@@ -179,10 +179,13 @@ def _check_dual_conjugation(rng, t, tol):
     field = "complex" if t % 2 else "real"
     spec = random_spec(rng, n, field=field, max_ops=2)
     dual = dynamical_dual(spec, tol)
-    lhs = iterate(dual.as_spec()).matrix
-    rhs = np.linalg.solve(dual.frame_op, iterate(spec).matrix)
-    if fro(lhs - rhs) > 1e-6 * max(1.0, fro(rhs)):
+    primal = iterate(spec).matrix
+    rhs = np.linalg.solve(frame_operator(iterate(spec)), primal)
+    if fro(iterate(dual).matrix - rhs) > 1e-6 * max(1.0, fro(rhs)):
         return f"trial {t}: dual iterates differ from S^-1 times iterates"
+    # the dual of the dual is the system itself
+    if fro(iterate(dynamical_dual(dual, tol)).matrix - primal) > 1e-6 * max(1.0, fro(primal)):
+        return f"trial {t}: dual of the dual differs from the system"
 
 
 def _check_dual_identity(rng, t, tol):
@@ -215,8 +218,8 @@ def _check_transport_report(rng, t, tol):
         return f"trial {t}: invertible transport changed the frame property"
 
 
-def _fixed_frames(frame_check, tol, refuted=False):
-    """frame_check on fixed frames: the first failure's detail, or None.
+def _fixed_frames(tol):
+    """_oracle_disagreement on fixed frames: the first failure's detail, or None.
 
     First the size ladder: draw (n, s) for n in {6, 8, 10, 12, 16, 20}
     and s < 20 is rng = default_rng(1000 n + s), k = rng.integers(2n, 5n),
@@ -225,14 +228,13 @@ def _fixed_frames(frame_check, tol, refuted=False):
     answer is forced (scalability._closed_form's merged and uniform
     routes): harmonic frames, shift-companion orbits that repeat e1 or
     e1 and e2, and the tight frame [sqrt(2) e1, e2, e2] of unequal norms.
-    With refuted, the frame [e1, -e1, (e1 + e2)/sqrt(2)] follows, which
-    cannot be scaled.
+    Last, the frame [e1, -e1, (e1 + e2)/sqrt(2)], which cannot be scaled.
     """
     for n in (6, 8, 10, 12, 16, 20):
         for s in range(20):
             rng = np.random.default_rng(1000 * n + s)
             frame, _ = random_scalable_frame(rng, n, int(rng.integers(2 * n, 5 * n)))
-            detail = frame_check(frame, tol)
+            detail = _oracle_disagreement(frame, tol, scalable=True)
             if detail is not None:
                 return f"ladder (n={n}, s={s}): {detail}"
     forced = [(f"harmonic ({n}, {k})", iterate(cons.harmonic(n, k)))
@@ -244,27 +246,30 @@ def _fixed_frames(frame_check, tol, refuted=False):
                    for l in (n, n + 1)]
     forced.append(("unequal-norm tight", Frame(np.array([[2 ** 0.5, 0.0, 0.0],
                                                           [0.0, 1.0, 1.0]]))))
-    if refuted:
-        forced.append(("merged witness", Frame(np.array([[1.0, -1.0, 2 ** -0.5],
-                                                          [0.0, 0.0, 2 ** -0.5]]))))
+    forced.append(("merged witness", Frame(np.array([[1.0, -1.0, 2 ** -0.5],
+                                                      [0.0, 0.0, 2 ** -0.5]]))))
     for name, frame in forced:
-        detail = frame_check(frame, tol)
+        detail = _oracle_disagreement(frame, tol, scalable=name != "merged witness")
         if detail is not None:
             return f"{name}: {detail}"
 
 
-def _oracle_disagreement(frame, tol):
-    direct = _feasible(solve_scaling(frame, tol=tol))
+def _oracle_disagreement(frame, tol, scalable=False):
+    """One solve of frame, judged by the Gramian oracle and, for a frame
+    scalable by construction, by _certificate_fault: a detail or None."""
+    res = solve_scaling(frame, tol=tol)
+    direct = _feasible(res)
     _, _, oracle = gramian_scaling_check(frame, tol)
     if direct != oracle:
         return f"solver says {direct}, Gramian oracle says {oracle}"
     if tight_via_diagram(frame, tol) != analyze(frame, tol).is_tight:
         return "diagram and spectral tightness disagree"
+    return _certificate_fault(frame, res, tol) if scalable else None
 
 
 def _check_diagram_oracle(rng, t, tol):
     if t == 0:
-        detail = _fixed_frames(_oracle_disagreement, tol, refuted=True)
+        detail = _fixed_frames(tol)
         if detail is not None:
             return detail
     n = int(rng.integers(2, 5))
@@ -281,8 +286,7 @@ def _check_diagram_oracle(rng, t, tol):
         return f"trial {t}: {detail}"
 
 
-def _certificate_fault(frame, tol):
-    res = solve_scaling(frame, tol=tol)
+def _certificate_fault(frame, res, tol):
     if not isinstance(res, ScalingCertificate):
         return "scalable-by-construction frame got no certificate"
     f = frame.matrix
@@ -296,15 +300,12 @@ def _certificate_fault(frame, tol):
 
 
 def _check_certificate_soundness(rng, t, tol):
-    if t == 0:
-        detail = _fixed_frames(_certificate_fault, tol)
-        if detail is not None:
-            return detail
+    # diagram-oracle checks the fixed frames' certificates on its one solve
     n = int(rng.integers(2, 5))
     k = int(rng.integers(n + 1, 11))
     field = "complex" if t % 2 else "real"
     frame, _ = random_scalable_frame(rng, n, k, field=field)
-    detail = _certificate_fault(frame, tol)
+    detail = _certificate_fault(frame, solve_scaling(frame, tol=tol), tol)
     if detail is not None:
         return f"trial {t}: {detail}"
 

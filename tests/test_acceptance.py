@@ -179,7 +179,7 @@ def test_criterion_06_dual_reconstruction():
         worst_rec = max(worst_rec, np.linalg.norm(rec - f) / np.linalg.norm(f))
 
         frame = iterate(spec)
-        dual_frame = iterate(dynamical_dual(spec).as_spec())
+        dual_frame = iterate(dynamical_dual(spec))
         s_inv_primal = np.linalg.solve(frame_operator(frame), frame.matrix)
         worst_dual = max(worst_dual, fro(dual_frame.matrix - s_inv_primal))
 

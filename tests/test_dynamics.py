@@ -102,7 +102,10 @@ class TestIterate:
             return made[-1]
 
         monkeypatch.setattr(dynamics, "iterate_columns", columns)
-        assert iterate(shift_spec(3)).matrix is made[0]
+        m = iterate(shift_spec(3)).matrix
+        # the Frame copies the one orbit, as it copies every input array
+        assert len(made) == 1 and m is not made[0]
+        assert np.array_equal(m, made[0]) and not m.flags.writeable
 
     def test_nilpotent_orbit_has_a_zero_vector(self):
         # the strictly lower shift sends e1 to 0 after three steps
@@ -123,22 +126,39 @@ class TestSpecMemo:
         spec = one_vector_spec()
         f = rng.standard_normal(2)
         frame = iterate(spec)
-        dual = dynamical_dual(spec)
+        dynamical_dual(spec)
         samples = take_samples(spec, f)
         via_dual = reconstruct(spec, samples)
         via_weights = reconstruct(spec, samples, weights=np.ones(4))
         assert len(made) == 1 and made[0] is spec
         assert iterate(spec) is frame
-        assert np.allclose(dual.frame_op, np.eye(2))
+        assert np.allclose(iterate(spec)._spectrum[0], np.eye(2))
         assert np.linalg.norm(via_dual - f) < 1e-12
         assert np.linalg.norm(via_weights - f) < 1e-12
 
     def test_kept_arrays_are_read_only(self):
         spec = shift_spec(3)
-        for kept in (iterate(spec).matrix, dynamical_dual(spec).frame_op):
+        dynamical_dual(spec)
+        for kept in (iterate(spec).matrix, iterate(spec)._spectrum[0]):
             with pytest.raises(ValueError, match="read-only"):
                 kept[0, 0] = 5.0
-        assert np.array_equal(dynamical_dual(spec).frame_op, np.diag([2.0, 1.0, 1.0]))
+        assert np.array_equal(iterate(spec)._spectrum[0], np.diag([2.0, 1.0, 1.0]))
+
+    def test_one_dual_per_spec(self):
+        spec = shift_spec(3)
+        dual = dynamical_dual(spec)
+        assert isinstance(dual, DynamicalSystemSpec)
+        assert dynamical_dual(spec) is dual and vars(spec)["_dual"] is dual
+        for kept in dual.operators + dual.generators:
+            with pytest.raises(ValueError, match="read-only"):
+                kept[0] = 5.0
+
+    def test_not_a_frame_keeps_no_dual(self):
+        spec = shift_spec(1)
+        for _ in range(2):
+            with pytest.raises(NotAFrame):
+                dynamical_dual(spec)
+        assert "_dual" not in vars(spec)
 
     def test_later_writes_to_the_inputs_do_not_reach_it(self):
         a = companion(CompanionSpec((1.0, 0.0, 0.0)))
@@ -166,8 +186,9 @@ class TestSpecMemo:
         assert np.array_equal(spec.generators[0], [1.0, 0.0])
         assert iterate(spec) is frame
         assert np.array_equal(frame.matrix, [[1.0, 1.0], [0.0, 0.0]])
-        # the memo keeps one copy of the columns
-        assert frame.matrix is spec._columns
+        # the Frame keeps its own read-only copy of the spec's columns
+        assert frame.matrix is not spec._columns
+        assert np.array_equal(frame.matrix, spec._columns) and not frame.matrix.flags.writeable
 
     def test_sample_cross_check_runs_on_every_call(self, rng, monkeypatch):
         spec = two_operator_spec(rng)
@@ -291,16 +312,17 @@ class TestDynamicalDual:
     def test_shift_companion_dual_values(self):
         spec = shift_spec(3)
         dual = dynamical_dual(spec)
-        assert np.allclose(dual.frame_op, np.diag([2.0, 1.0, 1.0]))
+        assert np.allclose(iterate(spec)._spectrum[0], np.diag([2.0, 1.0, 1.0]))
         assert np.allclose(dual.generators[0], [0.5, 0.0, 0.0])
         expect_b = np.array([[0.0, 0.0, 0.5], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         assert np.allclose(dual.operators[0], expect_b)
-        assert verify_duality(iterate(spec), iterate(dual.as_spec()))
+        assert dual.triples == spec.triples
+        assert verify_duality(iterate(spec), iterate(dual))
 
     def test_dual_iterate_is_canonical_dual(self, rng):
         for _ in range(10):
             spec = random_spec(rng, int(rng.integers(2, 5)), max_ops=2)
-            dual_frame = iterate(dynamical_dual(spec).as_spec())
+            dual_frame = iterate(dynamical_dual(spec))
             assert dual_frame.close_to(canonical_dual(iterate(spec)), 1e-7)
 
     def test_non_frame_rejected(self):
@@ -470,7 +492,7 @@ class TestReconstruct:
         for spec in specs:
             f = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
             samples = take_samples(spec, f)
-            dual = iterate(dynamical_dual(spec).as_spec()).matrix
+            dual = iterate(dynamical_dual(spec)).matrix
             expect = dual @ np.asarray(samples.values)
             got = reconstruct(spec, samples)
             assert np.linalg.norm(got - expect) <= 1e-10 * np.linalg.norm(f)

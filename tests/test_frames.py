@@ -48,7 +48,7 @@ class TestFrameType:
 
     def test_copies_a_frozen_array(self):
         # the caller can make its read-only array writable again, so it is
-        # copied; only an array that dynframe froze is kept
+        # copied, and so is a Frame's own matrix
         a = np.eye(2)
         a.setflags(write=False)
         fr = Frame(a)
@@ -56,10 +56,13 @@ class TestFrameType:
         a.setflags(write=True)
         a[0, 0] = 5.0
         assert fr.matrix[0, 0] == 1.0
-        assert Frame(fr.matrix).matrix is fr.matrix
+        again = Frame(fr.matrix).matrix
+        assert again is not fr.matrix and np.array_equal(again, fr.matrix)
+        assert not again.flags.writeable
 
     def test_checks_a_kept_array(self):
-        # an array that dynframe froze itself, as a spec does with its orbit
+        # an array that dynframe froze itself, as a spec does with its orbit,
+        # is checked like any other
         bad = _freeze(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(ValueError, match="finite"):
             Frame(bad)

@@ -38,3 +38,53 @@ def test_every_imported_name_is_used():
             if names:
                 unused[name] = names
     assert unused == {}
+
+
+def _statements(source):
+    """(private names defined, names read) for each top-level statement.
+
+    A private name is a module-level function, class or constant whose
+    name starts with one underscore.  A name is read as a name or as an
+    attribute (dynamics._orbits reads _orbits).
+    """
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        read = set()
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                read.add(sub.attr)
+        out.append(([n for n in names if n.startswith("_") and not n.startswith("__")], read))
+    return out
+
+
+def _unreferenced(sources):
+    """Private names of sources (file name -> text) that no other statement
+    of any of them reads, as sorted 'file:name' strings."""
+    stmts = {name: _statements(text) for name, text in sources.items()}
+    reads = [(name, i, read) for name, rows in stmts.items()
+             for i, (_, read) in enumerate(rows)]
+    return sorted(f"{name}:{private}" for name, rows in stmts.items()
+                  for i, (defined, _) in enumerate(rows) for private in defined
+                  if not any(private in read for other, j, read in reads
+                             if (other, j) != (name, i)))
+
+
+def test_every_private_name_is_referenced():
+    # a private helper that only its own body reads, or that nothing
+    # reads, is dead; the first line shows the check sees one at all
+    assert _unreferenced({
+        "a.py": "def _loop(): return _loop()\n_K = 1\n_M = 2\ndef f(): return _K\n",
+        "b.py": "from . import a\nprint(a._M)\n"}) == ["a.py:_loop"]
+    sources = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                sources[name] = fh.read()
+    assert _unreferenced(sources) == []

@@ -313,10 +313,12 @@ class TestFrozen:
         m = as_matrix(a, field="complex")
         assert m.dtype == np.complex128 and m is not a
         assert as_matrix(a, field="real") is not a
-        # an array frozen here is kept, unless the field asked for differs
+        # an array frozen here is copied too
         own = as_matrix(a)
-        assert as_matrix(own) is own and as_matrix(own, field="real") is own
-        assert as_matrix(own, field="complex") is not own
+        for field in (None, "real", "complex"):
+            again = as_matrix(own, field=field)
+            assert again is not own and np.array_equal(again, own)
+            assert not again.flags.writeable
 
 
 class TestInnerConvention:
