@@ -1,0 +1,96 @@
+"""LP calls and simplex iterations of the scaling entry points on the benchmark inputs.
+
+Run from the repository root:
+
+    python3 scripts/lp_census.py --seed 1
+    python3 scripts/lp_census.py --seed 1 --src ../other-checkout/src
+
+For the certify and refute inputs of the seed (perfbench/inputs.py, read
+as it is), each frame goes through solve_scaling and
+gramian_scaling_check, and each normal-operator system through
+normal_scalability, in that order and one call at a time.  Every
+numkernel.linprog call is counted against the entry point that made it,
+under every name a dynframe module holds it by.  One line per workload
+and entry point gives the calls, the simplex iterations and the verdicts
+that match the construction; an entry point that raises counts as a
+wrong verdict and is named on stderr.
+"""
+
+import argparse
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ENTRIES = ("solve_scaling", "gramian_scaling_check", "normal_scalability")
+
+
+def census(seed):
+    """{(workload, entry): [calls, iterations, right, attempted]}."""
+    import inputs
+    from dynframe import numkernel
+    from dynframe.frames import Frame
+    from dynframe.scalability import (ScalingCertificate, gramian_scaling_check,
+                                      normal_scalability, solve_scaling)
+
+    counts, current = {}, [None]
+    original = numkernel.linprog
+
+    def counted(*args, **kwargs):
+        res = original(*args, **kwargs)
+        counts[current[0]][0] += 1
+        counts[current[0]][1] += res.nit
+        return res
+
+    rebound = [(mod, key) for name, mod in list(sys.modules.items())
+               if name.startswith("dynframe") and mod is not None
+               for key, value in vars(mod).items() if value is original]
+    for mod, key in rebound:
+        setattr(mod, key, counted)
+    try:
+        for workload, items in (("certify", inputs.certify_inputs(seed)),
+                                ("refute", inputs.refute_inputs(seed))):
+            for item in items:
+                frame = Frame(item["F"])
+                calls = [("solve_scaling",
+                          lambda: isinstance(solve_scaling(frame), ScalingCertificate)),
+                         ("gramian_scaling_check", lambda: gramian_scaling_check(frame)[2])]
+                if "normal" in item:
+                    calls.append(("normal_scalability", lambda: isinstance(
+                        normal_scalability(*item["normal"]), ScalingCertificate)))
+                for entry, call in calls:
+                    current[0] = (workload, entry)
+                    tally = counts.setdefault(current[0], [0, 0, 0, 0])
+                    tally[3] += 1
+                    try:
+                        tally[2] += call() == item["scalable"]
+                    except Exception as exc:  # a raise is a wrong verdict, named below
+                        print(f"{workload} {item['name']} {entry}: "
+                              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    finally:
+        for mod, key in rebound:
+            setattr(mod, key, original)
+    return counts
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="the src/ directory that holds the dynframe package")
+    args = parser.parse_args(argv)
+    sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
+    counts = census(args.seed)
+    print(f"seed {args.seed}")
+    print(f"{'workload':<9} {'entry point':<22} {'calls':>5} {'nit':>5}  right")
+    for workload in ("certify", "refute"):
+        total = [0, 0]
+        for entry in ENTRIES:
+            calls, nit, right, attempted = counts.get((workload, entry), [0, 0, 0, 0])
+            total = [total[0] + calls, total[1] + nit]
+            print(f"{workload:<9} {entry:<22} {calls:>5} {nit:>5}  {right}/{attempted}")
+        print(f"{workload:<9} {'all':<22} {total[0]:>5} {total[1]:>5}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -93,12 +93,18 @@ class DynamicalSystemSpec:
 
     @cached_property
     def _columns(self) -> np.ndarray:
-        """The iterated columns, zero iterates kept."""
-        return _freeze(iterate_columns(self))
+        """The iterated columns, zero iterates kept: the matrix of the
+        spec's Frame, or an array of the spec's own when no Frame can be
+        made (a zero iterate, or one whose squared norm leaves the float
+        range)."""
+        try:
+            return self._frame.matrix
+        except (ZeroVector, ValueError):
+            return _freeze(iterate_columns(self))
 
     @cached_property
     def _frame(self) -> Frame:
-        return Frame(self._columns)
+        return Frame(iterate_columns(self))
 
     @cached_property
     def _dual(self) -> "DynamicalSystemSpec":

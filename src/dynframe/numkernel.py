@@ -187,12 +187,20 @@ class InfeasibleWitness:
 @dataclass(frozen=True)
 class LPResult:
     """What linprog reports: scipy's status code, HiGHS' own words for it,
-    the simplex iteration count, and x (None unless status is 0)."""
+    the simplex iteration count, x and the row duals (both None unless
+    status is 0).
+
+    row_dual has one entry per row, A_ub rows then A_eq rows, in HiGHS'
+    sign convention for a minimization, which scipy's marginals share: an
+    A_ub row that binds has a dual <= 0, and c = A' row_dual + (the duals
+    of the variable bounds).
+    """
 
     status: int           # 0 optimal, 1 limit, 2 infeasible, 3 unbounded, 4 other
     message: str          # HiGHS model status, e.g. "Primal infeasible or unbounded"
     nit: int
     x: Optional[np.ndarray]
+    row_dual: Optional[np.ndarray] = None
 
 
 def _extension(name):
@@ -299,9 +307,13 @@ def linprog(c, *, bounds, A_eq=None, b_eq=None, A_ub=None, b_ub=None) -> LPResul
     highs.run()
     model_status = highs.getModelStatus()
     status = codes.get(model_status, 4)
-    x = np.array(highs.getSolution().col_value) if status == 0 else None
+    x = row_dual = None
+    if status == 0:
+        solution = highs.getSolution()
+        x, row_dual = np.array(solution.col_value), np.array(solution.row_dual)
     return LPResult(status=status, message=highs.modelStatusToString(model_status),
-                    nit=int(highs.getInfo().simplex_iteration_count), x=x)
+                    nit=int(highs.getInfo().simplex_iteration_count), x=x,
+                    row_dual=row_dual)
 
 
 def _outcome(res: LPResult) -> str:
@@ -323,8 +335,8 @@ def nonneg_feasible(aeq, beq, tol: float = DEFAULT_TOL):
     system the cap never binds: with c_i = |f_i|^2 >= 0, the trace row
     sum_i c_i x_i = n holds for every exact solution, so the optimum has
     t* sum c_i <= n while x_ls has max(x_ls) sum c_i >= n, hence
-    t* <= max(x_ls).  The oracle's row 1'x = 1 gives the same with
-    c = 1.  Only unbounded rays reach the cap.
+    t* <= max(x_ls).  Any system with a row c'x = total, c > 0 gives
+    the same.  Only unbounded rays reach the cap.
 
     Both programs see the system projected onto an orthonormal basis Q
     of the range of [aeq | beq]: Q'aeq x = Q'beq has the same solutions

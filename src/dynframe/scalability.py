@@ -25,9 +25,12 @@ these routes, in this order (_solve):
   equality system, for anything the routes above leave undecided, on
   each component that is left;
 * the diagram-vector Gramian test on the unit-normalized frame (oracle),
-  built apart from K and never split: null dimension 1 decides by the
-  signs of the null vector, and from 2 on the projection of (|f_i|^2)
-  onto the null space, with an LP when it has a negative entry.
+  its Gramian in closed form from the unit columns, apart from K and the
+  solver's rows, and never split: an empty null space is proved by a
+  shifted Cholesky factorization, null dimension 1 decides by the signs
+  of the null vector, and from 2 on the projection of (|f_i|^2) onto the
+  null space, then a witness from the range of the Gramian, then one
+  witness LP whose duals must form a nonnegative null vector.
 
 Every route returns through one gate per kind of answer, which judges
 it from its vector and the system alone: _certificate (x >= 0, residual
@@ -36,12 +39,12 @@ above the most y'A x reaches on the trace row, or on the oracle's row
 1'x = 1).
 
 The agreement of the solver and the oracle is a checked invariant,
-never assumed.  Every route on a Frame reads the same rows of its
-scaling system, built once and kept on the Frame (Frame._scaling_rows):
-solve_scaling solves them, tight_via_diagram maps their sum over the
-columns, and the oracle maps them divided column by column by
-c_i = |f_i|^2, the rows of the unit columns.  A certificate is strict
-when min_i c_i x_i > tol, which no rescaling of the columns changes.
+never assumed.  The solver's routes on a Frame read the same rows of
+its scaling system, built once and kept on the Frame
+(Frame._scaling_rows): solve_scaling solves them and tight_via_diagram
+maps their sum over the columns.  A certificate is strict when
+min_i c_i x_i > tol, c_i = |f_i|^2, which no rescaling of the columns
+changes.
 
 For normal A = U D U*, normal_scalability solves the diagonal model
 {D^j U* f_s} (diagonal_reduce), iterated like any other spec, by these
@@ -54,11 +57,11 @@ from typing import Optional
 
 import numpy as np
 
+from . import numkernel
 from .dynamics import _orbit_system, diagonal_reduce, iterate_columns
 from .errors import NumericalFailure, TemplateMismatch, ZeroVector
 from .frames import Frame, _pairs, _scaling_system
-from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, as_vector, fro,
-                        hermitian_eig, nonneg_feasible)
+from .numkernel import DEFAULT_TOL, InfeasibleWitness, _outcome, as_vector, fro, nonneg_feasible
 
 # The rank test of _closed_form on the unit-column K = |U*U|^2: K passes
 # when K - _K_RCOND tr(K) I has a Cholesky factor, that is when
@@ -215,16 +218,22 @@ def _certificate(x, columns, tol):
                               strict=strict, margin=float(x.min()))
 
 
-def _nonsingular(gram) -> bool:
-    """Whether gram passes the _K_RCOND rank test: gram - _K_RCOND tr(gram) I
-    has a Cholesky factor."""
+def _factors(gram, shift) -> bool:
+    """Whether gram - shift I has a Cholesky factor, which proves
+    lambda_min(gram) > shift up to the rounding of the factorization."""
     shifted = gram.copy()
-    shifted.flat[::gram.shape[0] + 1] -= _K_RCOND * np.trace(gram)
+    shifted.flat[::gram.shape[0] + 1] -= shift
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _nonsingular(gram) -> bool:
+    """Whether gram passes the _K_RCOND rank test: gram - _K_RCOND tr(gram) I
+    has a Cholesky factor."""
+    return _factors(gram, _K_RCOND * np.trace(gram))
 
 
 def _forced(gram, group, mass, aeq, beq, columns, tol):
@@ -249,18 +258,13 @@ def _forced(gram, group, mass, aeq, beq, columns, tol):
         return cert
     w = np.ones(aeq.shape[0])
     w[n:] = 2.0
-    candidates = []
     if x.min() < 0:
         z = np.linalg.solve(gram, np.eye(gram.shape[0])[int(np.argmin(unit_x))])
-        candidates.append(-w * (aeq @ (z[group] / mass[group])))
-    # a nonnegative x that the gate turned down has a residual above tol
-    if x.min() >= 0 or scaling_residual(columns, x) > tol:
-        candidates.append(w * (beq - aeq @ x))
-    for y in candidates:
-        witness = _checked_witness(y, aeq, beq, n, tol)
-        if witness is not None:
+        witness = _checked_witness(-w * (aeq @ (z[group] / mass[group])), aeq, beq, n, tol)
+        # a nonnegative x that the gate turned down has a residual above tol
+        if witness is not None or scaling_residual(columns, x) <= tol:
             return witness
-    return None
+    return _checked_witness(w * (beq - aeq @ x), aeq, beq, n, tol)
 
 
 def _parallel_groups(unit, rows: int):
@@ -534,32 +538,72 @@ def solve_scaling(frame: Frame, tol: float = DEFAULT_TOL):
     return _solve(*frame._scaling_rows, frame.matrix, tol)
 
 
+def _diagram_gramian(unit, cplx: bool) -> np.ndarray:
+    """The Gramian of the diagram vectors of unit columns, in closed form.
+
+    With Q = |U*U|^2 (entrywise), real frames give
+    G = (n Q - 1) / (n - 1) (Copenhaver et al., arXiv:1303.1159).  Complex
+    frames, whose pair rows _diagram_rows weights by sqrt(n), give
+    G = ((n/2)(Q + P'P) - 1) / (n - 1) with P = |U|^2 (entrywise): the
+    differences contribute n P'P - 1 and the pairs (n/2)(Q - P'P).  The
+    divisor is max(n - 1, 1), so n = 1 gives G = 0.
+    """
+    n = unit.shape[0]
+    overlap = np.abs(unit.conj().T @ unit) ** 2
+    if cplx:
+        # U*U is Hermitian only to rounding, so Q is averaged with Q' to
+        # make G exactly symmetric
+        p = np.abs(unit) ** 2
+        overlap = (overlap + overlap.T + 2.0 * (p.T @ p)) / 4.0
+    return (n * overlap - 1.0) / max(n - 1.0, 1.0)
+
+
 def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     """Diagram-Gramian scalability oracle.
 
     Vectors are unit-normalized first (the characterization is stated
     for unit-norm frames; rescaling is absorbed into the weights).
-    Returns (Gramian of the diagram vectors, orthonormal basis of its
-    null space, whether a nonnegative nonzero null vector exists).  Null
-    dimension d = 0 leaves no such vector; d = 1 decides by the signs of
-    the unit null vector, which no column norm enters.  At d >= 2 the
-    candidate is v = N N' c with c_i = |f_i|^2 from the raw columns, the
-    projection onto the null space of the weights that make a tight frame
-    Parseval (c itself is a null vector then, as are the group masses of
-    a repeated orbit): v >= -tol max|v| with ||v|| > tol ||c|| answers
-    "found".  Else nonneg_feasible solves [G; 1'] x = (0, 1), x >= 0, and
-    a witness must pass _sound_witness on its row 1'x = 1, else
-    NumericalFailure ("undecided") is raised.
-    """
-    aeq, _ = frame._scaling_rows
-    c = aeq[:frame.dim].sum(axis=0)
-    diag = _diagram_rows(aeq / c, frame.dim, np.iscomplexobj(frame.matrix))
-    gram = diag.T @ diag
-    k = gram.shape[0]
+    Returns (Gramian G of the diagram vectors, orthonormal basis of its
+    null space, whether a nonnegative nonzero null vector exists).  G is
+    formed in closed form from the unit columns (_diagram_gramian), apart
+    from the solver's rows.  The null dimension d counts the eigenvalues
+    of G at most theta = tol max(1, lambda_max), and every answer rests
+    on a proof that the oracle checks itself:
 
-    lam, vecs = hermitian_eig(gram, tol)
-    null_mask = lam <= tol * max(1.0, float(lam[0]))
-    null_basis = vecs[:, null_mask]
+    * d = 0 without an eigendecomposition when G - s I has a Cholesky
+      factor, s = tol max(1, tr G) + 2(k + 2) u tr G with u the unit
+      roundoff: then lambda_min(G) > tol max(1, tr G) >= theta, the last
+      term covering the rounding of the factorization (Rump, BIT 46
+      (2006)).  The attempt is skipped when k exceeds the dimension of the
+      diagram vectors, where d >= 1 is certain; otherwise the
+      eigenvalues decide d = 0 as well;
+    * d = 1 decides by the signs of the unit null vector, which no column
+      norm enters;
+    * d >= 2 is "found" when v = N N' c, c_i = |f_i|^2 from the raw
+      columns, has v >= -tol max|v| and ||v|| > tol ||c||: the projection
+      onto the null space of the weights that make a tight frame Parseval
+      (c itself is a null vector then, as are the group masses of a
+      repeated orbit).  Otherwise _null_cone decides, with at most one LP.
+
+    NumericalFailure ("undecided") is raised when no proof is found.
+    """
+    m = frame.matrix
+    n, k = m.shape
+    cplx = np.iscomplexobj(m)
+    c = np.sum(np.abs(m) ** 2, axis=0)
+    gram = _diagram_gramian(m / np.sqrt(c), cplx)
+    trace = float(np.trace(gram))
+    if k <= (n * n - 1 if cplx else n * (n + 1) // 2 - 1):
+        rounding = (k + 2) * np.finfo(float).eps * trace   # 2(k + 2) u tr G
+        if _factors(gram, tol * max(1.0, trace) + rounding):
+            return gram, np.zeros((k, 0)), False
+    try:
+        lam, vecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(str(exc)) from exc
+    theta = tol * max(1.0, float(lam[-1]))
+    null = lam <= theta
+    null_basis = vecs[:, null]
     if null_basis.shape[1] == 0:
         return gram, null_basis, False
     if null_basis.shape[1] == 1:
@@ -569,13 +613,55 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     v = null_basis @ (null_basis.T @ c)
     if v.min() >= -tol * np.max(np.abs(v)) and np.linalg.norm(v) > tol * np.linalg.norm(c):
         return gram, null_basis, True
+    return gram, null_basis, _null_cone(gram, null_basis, vecs[:, ~null], theta, tol)
 
-    sys_matrix = np.vstack([gram, np.ones((1, k))])
-    sys_rhs = np.concatenate([np.zeros(k), [1.0]])
-    res = nonneg_feasible(sys_matrix, sys_rhs, tol=tol)
-    if isinstance(res, InfeasibleWitness):
-        _sound_witness(res.y, sys_matrix, sys_rhs, np.ones(k), 1.0)
-    return gram, null_basis, isinstance(res, Feasible)
+
+def _null_cone(gram, null_basis, range_basis, theta, tol) -> bool:
+    """Whether some x >= 0 with 1'x = 1 lies in the null space N of gram.
+
+    The system is posed on A = [R'; 1'], b = e_last, with R the range
+    eigenvectors: R'x = 0, 1'x = 1 has the solutions of [G; 1'] x = (0, 1).
+    Answers, in order:
+
+    * False by the range candidate r = 1 - N N'1 = R R'1, when
+      min r > tol max(1, max|r|): then y = (-R'r, min r) has
+      y'A = -r' + (min r) 1' <= 0 and gap min r, and it must pass
+      _sound_witness on the row 1'x = 1;
+    * otherwise one LP, max b'y subject to A'y <= 0 and -1 <= y <= 1,
+      which y = 0 makes feasible.  A gap b'y above tol is a witness and
+      must pass _sound_witness.  Else the LP's duals of the rows A'y <= 0,
+      x = -row_dual, solve A x = b, and they answer True only when x is a
+      nonnegative null vector: min x >= -tol, |1'x - 1| <= tol and
+      ||G x|| <= theta ||x||.  On the certify and refute inputs of five
+      seeds (40 such checks) the duals met these bounds with room to
+      spare: min x = 0, |1'x - 1| <= 1.6e-15, ||G x|| <= 2.8e-6 theta ||x||.
+
+    Any other outcome raises NumericalFailure.
+    """
+    k = gram.shape[0]
+    ones = np.ones(k)
+    aeq = np.vstack([range_basis.T, ones])
+    beq = np.zeros(aeq.shape[0])
+    beq[-1] = 1.0
+    r = ones - null_basis @ (null_basis.T @ ones)
+    if r.min() > tol * max(1.0, float(np.max(np.abs(r)))):
+        _sound_witness(np.append(-(range_basis.T @ r), r.min()), aeq, beq, ones, 1.0)
+        return False
+    # looked up on numkernel at each call, as nonneg_feasible does, so that
+    # one patch of numkernel.linprog reaches every LP
+    res = numkernel.linprog(-beq, A_ub=aeq.T, b_ub=np.zeros(k), bounds=[(-1.0, 1.0)] * beq.size)
+    if res.status != 0:
+        raise NumericalFailure(f"witness program did not solve: {_outcome(res)}")
+    if float(beq @ res.x) > tol:
+        _sound_witness(res.x, aeq, beq, ones, 1.0)
+        return False
+    x = -res.row_dual
+    defect, size = float(np.linalg.norm(gram @ x)), float(np.linalg.norm(x))
+    if x.min() >= -tol and abs(x.sum() - 1.0) <= tol and defect <= theta * size:
+        return True
+    raise NumericalFailure(f"undecided: the witness program's duals are no nonnegative "
+                           f"null vector (min x {x.min():.3e}, 1'x - 1 {x.sum() - 1.0:.3e}, "
+                           f"||Gx|| {defect:.3e} against theta ||x|| {theta * size:.3e})")
 
 
 def build_diagonal_system(a, generators, iters):

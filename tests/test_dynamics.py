@@ -160,6 +160,16 @@ class TestSpecMemo:
                 dynamical_dual(spec)
         assert "_dual" not in vars(spec)
 
+    def test_zero_iterate_keeps_its_own_columns(self):
+        # no Frame can be made, so the spec keeps the orbit itself, once
+        spec = DynamicalSystemSpec.single(np.eye(3, k=-1), E1_3, 3)
+        take_samples(spec, [1, 2, 3])
+        kept = vars(spec)["_columns"]
+        assert "_frame" not in vars(spec) and not kept.flags.writeable
+        assert np.array_equal(kept, column_stack_reference(spec))
+        take_samples(spec, [3, 2, 1])
+        assert vars(spec)["_columns"] is kept
+
     def test_later_writes_to_the_inputs_do_not_reach_it(self):
         a = companion(CompanionSpec((1.0, 0.0, 0.0)))
         f = E1_3.copy()
@@ -186,9 +196,8 @@ class TestSpecMemo:
         assert np.array_equal(spec.generators[0], [1.0, 0.0])
         assert iterate(spec) is frame
         assert np.array_equal(frame.matrix, [[1.0, 1.0], [0.0, 0.0]])
-        # the Frame keeps its own read-only copy of the spec's columns
-        assert frame.matrix is not spec._columns
-        assert np.array_equal(frame.matrix, spec._columns) and not frame.matrix.flags.writeable
+        # the spec keeps its orbit once: its columns are the Frame's read-only matrix
+        assert frame.matrix is spec._columns and not frame.matrix.flags.writeable
 
     def test_sample_cross_check_runs_on_every_call(self, rng, monkeypatch):
         spec = two_operator_spec(rng)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -363,8 +365,21 @@ class TestWitnessSoundness:
         monkeypatch.setattr(scalability, "nonneg_feasible", inflated)
         with pytest.raises(NumericalFailure, match="undecided"):
             solve_scaling(self._obstructed_frame())
+        # the oracle's witness program carries no gap of its own: handed
+        # its witness negated, it must read y'b < 0 off y, and then the
+        # duals of an infeasible system are no null vector either
+        from dynframe import numkernel
+
+        linprog = numkernel.linprog
+
+        def negated(*args, **kwargs):
+            real = linprog(*args, **kwargs)
+            assert real.status == 0 and real.x[-1] > 0.01
+            return replace(real, x=-real.x)
+
+        monkeypatch.setattr(numkernel, "linprog", negated)
         with pytest.raises(NumericalFailure, match="undecided"):
-            gramian_scaling_check(_orthant_frame(rng, 2, 5))
+            gramian_scaling_check(_RANGE_LEFT_INFEASIBLE)
 
     def test_witness_clears_per_column_bound(self):
         frame = self._obstructed_frame()
@@ -858,30 +873,162 @@ class TestGramianOracle:
         assert found
         assert isinstance(solve_scaling(fr), ScalingCertificate)
 
-    def test_lp_witness_must_exceed_its_violation(self, rng, monkeypatch):
-        # a 2 x 5 orthant frame has null dimension 3 and no nonnegative null
-        # vector, so the LP decides; on its row 1'x = 1 a witness y = (g, t)
-        # of [G; 1'] x = (0, 1) is a proof only when its gap t exceeds
-        # max(max_i (y'A)_i, 0), where y'A = g'G + t 1'
-        frame = _orthant_frame(rng, 2, 5)
+    def test_lp_witness_must_exceed_its_violation(self, monkeypatch):
+        # this 2 x 4 frame has null dimension 2, no nonnegative null vector
+        # and a range candidate with a negative entry, so the witness LP
+        # decides; on the rows A = [R'; 1'] a witness y = (g, t) is a proof
+        # only when its gap t exceeds max(max_i (y'A)_i, 0), where
+        # y'A = g'R' + t 1'
+        from dynframe import numkernel
+
+        frame = _RANGE_LEFT_INFEASIBLE
         gram = gramian_scaling_check(frame)[0]
-        real = nonneg_feasible(np.vstack([gram, np.ones((1, 5))]), np.eye(6)[5])
-        assert isinstance(real, InfeasibleWitness)
-        g = real.y[:5] / -np.max(real.y[:5] @ gram)   # the LP's own g, max(g'G) = -1
+        lam, vecs = np.linalg.eigh(gram)
+        range_t = vecs[:, lam > DEFAULT_TOL * lam[-1]].T
+        real = numkernel.linprog(-np.eye(3)[2], A_ub=np.vstack([range_t, np.ones(4)]).T,
+                                 b_ub=np.zeros(4), bounds=[(-1.0, 1.0)] * 3)
+        assert real.x[-1] > 0.01
+        g = real.x[:2] / -np.max(real.x[:2] @ range_t)   # the LP's own g, max(g'R') = -1
 
         def answer(a, t):
             # y = (a g, t): gap t, and max(y'A) = t - a for a >= 0
-            w = InfeasibleWitness(y=np.append(a * g, t), gap=t)
-            monkeypatch.setattr(scalability, "nonneg_feasible", lambda *args, **kw: w)
+            w = numkernel.LPResult(status=0, message="Optimal", nit=0, x=np.append(a * g, t),
+                                   row_dual=np.zeros(4))
+            monkeypatch.setattr(numkernel, "linprog", lambda *args, **kw: w)
             return gramian_scaling_check(frame)
 
         with pytest.raises(NumericalFailure, match="undecided"):
             answer(0.0, 1.0)                     # violation 1
         with pytest.raises(NumericalFailure, match="undecided"):
-            answer(-1.0, 1.0)                    # violation 1 - min(g'G) >= 2
+            answer(-1.0, 1.0)                    # violation 1 - min(g'R') >= 2
         _, null_basis, found = answer(0.5, 1.0)  # violation 0.5
-        assert null_basis.shape[1] == 3 and not found
+        assert null_basis.shape[1] == 2 and not found
         assert not answer(1.001, 1e-3)[2]        # violation -1
+
+    def test_closed_form_gramian(self, rng):
+        # the closed form against D'D, D the diagram rows of the unit columns
+        for n in (1, 2, 12):
+            for cplx in (False, True):
+                m = rng.standard_normal((n, n + 5))
+                if cplx:
+                    m = m + 1j * rng.standard_normal(m.shape)
+                frame = Frame(m)
+                aeq, _ = _scaling_system(m)
+                d = _diagram_rows(aeq / aeq[:n].sum(axis=0), n, cplx)
+                c = np.sum(np.abs(m) ** 2, axis=0)
+                gram = scalability._diagram_gramian(m / np.sqrt(c), cplx)
+                assert np.max(np.abs(gram - d.T @ d)) <= 1e-12, (n, cplx)
+                assert np.array_equal(gramian_scaling_check(frame)[0], gram)
+                assert np.array_equal(gram, gram.T)
+
+    def test_empty_null_space_without_eigh(self, rng, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        frames = [_orthant_frame(rng, 4, 5), _cap_frame(rng, 5, 7)]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", no_eigh)
+            for frame in frames:
+                gram, null_basis, found = gramian_scaling_check(frame)
+                assert null_basis.shape == (frame.size, 0) and not found
+        # lambda_min between theta = tol lambda_max and tol tr G: the
+        # Cholesky proof does not apply, and the eigenvalues decide d = 0
+        gram = gramian_scaling_check(frames[0])[0]
+        lam = np.linalg.eigvalsh(gram)
+        tol = 2 * lam[0] / (lam[-1] + np.trace(gram))
+        assert tol * lam[-1] < lam[0] < tol * np.trace(gram)
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
+        _, null_basis, found = gramian_scaling_check(frames[0], tol)
+        assert len(calls) == 1 and null_basis.shape == (5, 0) and not found
+
+    def test_range_candidate_witness(self, monkeypatch):
+        from dynframe import numkernel
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        # the range candidate r = 1 - N N'1 > 0 refutes this frame: its
+        # witness (-R'r, min r) passes the gate on the rows [R'; 1']
+        frame = Frame(np.array([[0.1, -1.9, -1.9, -1.4], [-0.8, -0.7, -0.5, -0.2]]))
+        with monkeypatch.context() as patch:
+            patch.setattr(numkernel, "linprog", no_lp)
+            gram, null_basis, found = gramian_scaling_check(frame)
+        assert null_basis.shape[1] == 2 and not found
+        lam, vecs = np.linalg.eigh(gram)
+        range_basis = vecs[:, lam > DEFAULT_TOL * lam[-1]]
+        r = np.ones(4) - null_basis @ (null_basis.T @ np.ones(4))
+        assert r.min() > DEFAULT_TOL
+        aeq, beq = np.vstack([range_basis.T, np.ones(4)]), np.eye(3)[2]
+        w = scalability._sound_witness(np.append(-(range_basis.T @ r), r.min()),
+                                       aeq, beq, np.ones(4), 1.0)
+        assert w.gap == r.min()
+        # an r with one negative entry does not decide: the LP runs
+        gram, null_basis, _ = gramian_scaling_check(_RANGE_LEFT_INFEASIBLE)
+        r = np.ones(4) - null_basis @ (null_basis.T @ np.ones(4))
+        assert np.count_nonzero(r < 0) == 1
+        monkeypatch.setattr(numkernel, "linprog", no_lp)
+        with pytest.raises(AssertionError, match="linprog called"):
+            gramian_scaling_check(_RANGE_LEFT_INFEASIBLE)
+
+    def test_lp_duals_must_be_a_null_vector(self, monkeypatch):
+        # scalable, null dimension 2, and the projection candidate has a
+        # negative entry: "found" rests on the witness LP's duals alone
+        from dynframe import numkernel
+
+        frame = Frame(np.array([[1.8, -2.6, -0.1, 1.0], [1.4, 0.7, 1.5, 0.3]]))
+        assert isinstance(solve_scaling(frame), ScalingCertificate)
+        linprog, duals = numkernel.linprog, []
+
+        def recorded(*args, **kwargs):
+            res = linprog(*args, **kwargs)
+            duals.append(-res.row_dual)
+            return res
+
+        monkeypatch.setattr(numkernel, "linprog", recorded)
+        gram, null_basis, found = gramian_scaling_check(frame)
+        assert found and null_basis.shape[1] == 2 and len(duals) == 1
+        x = duals[0]
+        assert x.min() >= 0 and x.sum() == pytest.approx(1.0, abs=1e-12)
+        lam, vecs = np.linalg.eigh(gram)
+        off = vecs[:, -1]                      # the top range eigenvector
+        for bad in (-x,                        # negative entries
+                    2 * x,                     # 1'x = 2
+                    x + 1e-6 * off * np.linalg.norm(x)):  # G x far above theta ||x||
+            def answer(*args, bad=bad, **kwargs):
+                return replace(linprog(*args, **kwargs), row_dual=-bad)
+
+            monkeypatch.setattr(numkernel, "linprog", answer)
+            with pytest.raises(NumericalFailure, match="undecided"):
+                gramian_scaling_check(frame)
+
+    def test_lp_calls(self, rng, monkeypatch):
+        # no LP on orthant and cap frames, at most one on a block system
+        # with one bad block
+        from dynframe import numkernel
+
+        linprog, calls = numkernel.linprog, []
+        monkeypatch.setattr(numkernel, "linprog",
+                            lambda *a, **kw: calls.append(True) or linprog(*a, **kw))
+        for n in range(2, 9):
+            for k in (n, n + 2, n + 3):
+                for frame in (_orthant_frame(rng, n, k), _cap_frame(rng, n, k)):
+                    assert not gramian_scaling_check(frame)[2]
+        assert not calls
+        for p in (2, 3, 4, 5):
+            a, gens, iters = _block_rotations(rng, p, int(rng.integers(p)))
+            for t in range(p):
+                del calls[:]
+                frame = iterate(DynamicalSystemSpec(operators=(a,), generators=gens,
+                                                    triples=tuple((0, s, l) for s, l
+                                                                  in enumerate(iters))))
+                assert not gramian_scaling_check(frame)[2]
+                assert len(calls) <= 1
+
+
+# real 2 x 4, doubled angles 48, 53, 242 and 310 degrees: a gap above pi,
+# null dimension 2, and a range candidate with one negative entry
+_RANGE_LEFT_INFEASIBLE = Frame(np.array([[0.8, 0.3, -1.3, 0.9], [0.4, -0.5, 0.6, 0.4]]))
 
 
 class TestDiagonalSystems:
