@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 scripts/lp_census.py --seed 1
     python3 scripts/lp_census.py --seed 1 --src ../other-checkout/src
+    python3 scripts/lp_census.py --seeds 1-100
 
 For the certify and refute inputs of the seed (perfbench/inputs.py, read
 as it is), each frame goes through solve_scaling and
@@ -13,7 +14,9 @@ numkernel.linprog call is counted against the entry point that made it,
 under every name a dynframe module holds it by.  One line per workload
 and entry point gives the calls, the simplex iterations and the verdicts
 that match the construction; an entry point that raises counts as a
-wrong verdict and is named on stderr.
+wrong verdict and is named on stderr.  With --seeds FIRST-LAST, one line
+per workload gives instead the histogram of LP calls per pass over those
+seeds, all entry points together, as calls:passes pairs.
 """
 
 import argparse
@@ -77,8 +80,22 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="the src/ directory that holds the dynframe package")
+    parser.add_argument("--seeds", metavar="FIRST-LAST",
+                        help="histogram of LP calls per pass over these seeds")
     args = parser.parse_args(argv)
     sys.path[:0] = [os.path.abspath(args.src), os.path.join(ROOT, "perfbench")]
+    if args.seeds:
+        first, last = map(int, args.seeds.split("-"))
+        histogram = {"certify": {}, "refute": {}}
+        for seed in range(first, last + 1):
+            counts = census(seed)
+            for workload, passes in histogram.items():
+                calls = sum(counts.get((workload, entry), [0])[0] for entry in ENTRIES)
+                passes[calls] = passes.get(calls, 0) + 1
+        print(f"seeds {first}-{last}, LP calls per pass (calls:passes)")
+        for workload, passes in histogram.items():
+            print(f"{workload:<9} " + " ".join(f"{calls}:{n}" for calls, n in sorted(passes.items())))
+        return 0
     counts = census(args.seed)
     print(f"seed {args.seed}")
     print(f"{'workload':<9} {'entry point':<22} {'calls':>5} {'nit':>5}  right")

@@ -14,7 +14,7 @@ from .errors import (AllZeroCoefficients, CriterionFailed, DegenerateTrace,
                      NotHermitian, NotNormal, NumericalFailure, ShapeMismatch,
                      SingularTransport, TemplateMismatch, ZeroVector)
 from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, fro,
-                        hermitian_eig, inner, nonneg_feasible, svd_rank,
+                        hermitian_eig, nonneg_feasible, svd_rank,
                         unitary_diagonalize)
 from .frames import (Frame, FrameReport, FusionDecomposition, analyze,
                      canonical_dual, frame_operator, fusion_check,
@@ -56,7 +56,7 @@ __all__ = [
     "NumericalFailure", "ShapeMismatch", "SingularTransport",
     "TemplateMismatch", "ZeroVector",
     "DEFAULT_TOL", "Feasible", "InfeasibleWitness", "fro", "hermitian_eig",
-    "inner", "nonneg_feasible", "svd_rank", "unitary_diagonalize",
+    "nonneg_feasible", "svd_rank", "unitary_diagonalize",
     "Frame", "FrameReport", "FusionDecomposition", "analyze",
     "canonical_dual", "frame_operator", "fusion_check", "verify_duality",
     "DynamicalSystemSpec", "SampleSet", "TransportResult",

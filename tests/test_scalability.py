@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -367,9 +370,11 @@ class TestWitnessSoundness:
             solve_scaling(self._obstructed_frame())
         # the oracle's witness program carries no gap of its own: handed
         # its witness negated, it must read y'b < 0 off y, and then the
-        # duals of an infeasible system are no null vector either
+        # duals of an infeasible system are no null vector either.  One
+        # projection step leaves this frame to the LP
         from dynframe import numkernel
 
+        monkeypatch.setattr(scalability, "_CONE_STEPS", 1)
         linprog = numkernel.linprog
 
         def negated(*args, **kwargs):
@@ -719,6 +724,13 @@ def _block_rotations(rng, p, bad):
     return a, [np.eye(2 * p)[2 * t] for t in range(p)], iters
 
 
+def _bad_block_frame(rng, p, bad):
+    """The iterated system of _block_rotations(rng, p, bad)."""
+    a, gens, iters = _block_rotations(rng, p, bad)
+    return iterate(DynamicalSystemSpec(operators=(a,), generators=gens,
+                                       triples=tuple((0, s, l) for s, l in enumerate(iters))))
+
+
 def _stack(*blocks):
     # block-diagonal synthesis matrix: each block on coordinates of its own
     out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
@@ -875,12 +887,13 @@ class TestGramianOracle:
 
     def test_lp_witness_must_exceed_its_violation(self, monkeypatch):
         # this 2 x 4 frame has null dimension 2, no nonnegative null vector
-        # and a range candidate with a negative entry, so the witness LP
-        # decides; on the rows A = [R'; 1'] a witness y = (g, t) is a proof
-        # only when its gap t exceeds max(max_i (y'A)_i, 0), where
-        # y'A = g'R' + t 1'
+        # and a range candidate with a negative entry, so after one
+        # projection step the witness LP decides; on the rows A = [R'; 1']
+        # a witness y = (g, t) is a proof only when its gap t exceeds
+        # max(max_i (y'A)_i, 0), where y'A = g'R' + t 1'
         from dynframe import numkernel
 
+        monkeypatch.setattr(scalability, "_CONE_STEPS", 1)
         frame = _RANGE_LEFT_INFEASIBLE
         gram = gramian_scaling_check(frame)[0]
         lam, vecs = np.linalg.eigh(gram)
@@ -948,8 +961,10 @@ class TestGramianOracle:
         def no_lp(*args, **kwargs):
             raise AssertionError("linprog called")
 
-        # the range candidate r = 1 - N N'1 > 0 refutes this frame: its
+        # one projection step gives back the first range candidate
+        # r = 1 - N N'1, which is > 0 on this frame and refutes it: its
         # witness (-R'r, min r) passes the gate on the rows [R'; 1']
+        monkeypatch.setattr(scalability, "_CONE_STEPS", 1)
         frame = Frame(np.array([[0.1, -1.9, -1.9, -1.4], [-0.8, -0.7, -0.5, -0.2]]))
         with monkeypatch.context() as patch:
             patch.setattr(numkernel, "linprog", no_lp)
@@ -972,12 +987,18 @@ class TestGramianOracle:
             gramian_scaling_check(_RANGE_LEFT_INFEASIBLE)
 
     def test_lp_duals_must_be_a_null_vector(self, monkeypatch):
-        # scalable, null dimension 2, and the projection candidate has a
-        # negative entry: "found" rests on the witness LP's duals alone
+        # unit columns at 0, 90, 10 and 45 degrees: doubled angles with a
+        # gap of exactly pi, so the frame is scalable with margin 0 (null
+        # dimension 2).  No null vector is positive and no range vector
+        # is, so the projections decide nothing whatever their number,
+        # and "found" rests on the witness LP's duals alone
         from dynframe import numkernel
 
-        frame = Frame(np.array([[1.8, -2.6, -0.1, 1.0], [1.4, 0.7, 1.5, 0.3]]))
-        assert isinstance(solve_scaling(frame), ScalingCertificate)
+        t = np.radians([10.0, 45.0])
+        frame = cols([1.0, 0.0], [0.0, 1.0], [np.cos(t[0]), np.sin(t[0])],
+                     [np.cos(t[1]), np.sin(t[1])])
+        res = solve_scaling(frame)
+        assert isinstance(res, ScalingCertificate) and res.margin == 0.0
         linprog, duals = numkernel.linprog, []
 
         def recorded(*args, **kwargs):
@@ -1002,9 +1023,36 @@ class TestGramianOracle:
             with pytest.raises(NumericalFailure, match="undecided"):
                 gramian_scaling_check(frame)
 
+    def test_projections_agree_with_the_lp(self, rng, monkeypatch):
+        # the verdict of the projection loop against the LP alone
+        # (_CONE_STEPS = 0) on frames whose null dimension is at least 2,
+        # so that the LP, the fallback, stays cross-checked
+        from dynframe import numkernel
+
+        frames = []
+        for n in (2, 3, 4, 5):
+            k = n * (n + 1) // 2 + 2
+            frames += [_orthant_frame(rng, n, k), _cap_frame(rng, n, k),
+                       random_scalable_frame(rng, n, k)[0]]
+        frames += [_bad_block_frame(rng, p, int(rng.integers(p))) for p in (2, 3, 4, 5)]
+        cone, reached = scalability._null_cone, []
+        monkeypatch.setattr(scalability, "_null_cone",
+                            lambda *args: reached.append(True) or cone(*args))
+        projected = [gramian_scaling_check(frame)[2] for frame in frames]
+        cone_frames = len(reached)
+        linprog, calls = numkernel.linprog, []
+        monkeypatch.setattr(numkernel, "linprog",
+                            lambda *a, **kw: calls.append(True) or linprog(*a, **kw))
+        monkeypatch.setattr(scalability, "_CONE_STEPS", 0)
+        assert [gramian_scaling_check(frame)[2] for frame in frames] == projected
+        assert projected.count(True) == 4 and projected.count(False) == 12
+        # one LP for each frame that reached the cone step: all but the
+        # Parseval-with-weights frames that the projection of c decides
+        assert len(calls) == cone_frames >= 12
+
     def test_lp_calls(self, rng, monkeypatch):
-        # no LP on orthant and cap frames, at most one on a block system
-        # with one bad block
+        # no LP on orthant and cap frames, on block systems with one bad
+        # block, or on a scalable (12, 200) frame
         from dynframe import numkernel
 
         linprog, calls = numkernel.linprog, []
@@ -1016,14 +1064,34 @@ class TestGramianOracle:
                     assert not gramian_scaling_check(frame)[2]
         assert not calls
         for p in (2, 3, 4, 5):
-            a, gens, iters = _block_rotations(rng, p, int(rng.integers(p)))
-            for t in range(p):
-                del calls[:]
-                frame = iterate(DynamicalSystemSpec(operators=(a,), generators=gens,
-                                                    triples=tuple((0, s, l) for s, l
-                                                                  in enumerate(iters))))
-                assert not gramian_scaling_check(frame)[2]
-                assert len(calls) <= 1
+            for bad in range(p):
+                assert not gramian_scaling_check(_bad_block_frame(rng, p, bad))[2]
+        frame, _ = random_scalable_frame(rng, 12, 200)
+        _, null_basis, found = gramian_scaling_check(frame)
+        assert found and null_basis.shape[1] >= 2
+        assert not calls
+
+    def test_refutes_without_loading_highs(self):
+        # in a fresh interpreter, the oracle refutes orthant, cap and
+        # bad-block systems without loading the LP solver's extension
+        src = os.path.dirname(os.path.dirname(scalability.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-c", "\n".join([
+            "import sys",
+            "import numpy as np",
+            "sys.path.insert(0, sys.argv[1])",
+            "from test_scalability import _bad_block_frame, _cap_frame, _orthant_frame",
+            "from dynframe import gramian_scaling_check",
+            "rng = np.random.default_rng(5)",
+            "frames = [f(rng, n, n * (n + 1) // 2 + 2) for n in (2, 3, 4, 5)",
+            "          for f in (_orthant_frame, _cap_frame)]",
+            "frames += [_bad_block_frame(rng, p, bad) for p in (2, 3, 4, 5) for bad in range(p)]",
+            "assert not any(gramian_scaling_check(frame)[2] for frame in frames)",
+            "print('scipy.optimize._highspy._core' in sys.modules)"]),
+            os.path.dirname(__file__)], env=env, check=True, capture_output=True,
+            text=True).stdout
+        assert out.strip() == "False"
 
 
 # real 2 x 4, doubled angles 48, 53, 242 and 310 degrees: a gap above pi,
