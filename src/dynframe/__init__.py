@@ -13,9 +13,8 @@ from .errors import (AllZeroCoefficients, CriterionFailed, DegenerateTrace,
                      IndexOutOfRange, InputError, KTooSmall, NotAFrame,
                      NotHermitian, NotNormal, NumericalFailure, ShapeMismatch,
                      SingularTransport, TemplateMismatch, ZeroVector)
-from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness, fro,
-                        hermitian_eig, nonneg_feasible, svd_rank,
-                        unitary_diagonalize)
+from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness,
+                        nonneg_feasible, unitary_diagonalize)
 from .frames import (Frame, FrameReport, FusionDecomposition, analyze,
                      canonical_dual, frame_operator, fusion_check,
                      verify_duality)
@@ -55,8 +54,8 @@ __all__ = [
     "InputError", "KTooSmall", "NotAFrame", "NotHermitian", "NotNormal",
     "NumericalFailure", "ShapeMismatch", "SingularTransport",
     "TemplateMismatch", "ZeroVector",
-    "DEFAULT_TOL", "Feasible", "InfeasibleWitness", "fro", "hermitian_eig",
-    "nonneg_feasible", "svd_rank", "unitary_diagonalize",
+    "DEFAULT_TOL", "Feasible", "InfeasibleWitness", "nonneg_feasible",
+    "unitary_diagonalize",
     "Frame", "FrameReport", "FusionDecomposition", "analyze",
     "canonical_dual", "frame_operator", "fusion_check", "verify_duality",
     "DynamicalSystemSpec", "SampleSet", "TransportResult",

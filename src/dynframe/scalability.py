@@ -27,19 +27,22 @@ these routes, in this order (_solve):
 * the diagram-vector Gramian test on the unit-normalized frame (oracle),
   its Gramian in closed form from the unit columns, apart from K and the
   solver's rows, and never split: an empty null space is proved by a
-  shifted Cholesky factorization, null dimension 1 decides by the signs
-  of the null vector, and from 2 on the projection of (|f_i|^2) onto the
-  null space, then alternating projections between {x >= 1} and the null
-  space (a nonnegative null vector) or the range of the Gramian (a
-  witness), and only when neither converges within a fixed number of
-  steps (frames scalable with margin 0, or close to it), one witness LP
-  whose duals must form a nonnegative null vector.
+  shifted Cholesky factorization, a nonnegative null vector by two steps
+  of shifted inverse iteration on (|f_i|^2), with no eigendecomposition;
+  only when that candidate fails its gate do the eigenvalues decide:
+  null dimension 1 by the signs of the null vector, and from 2 on
+  alternating projections between {x >= 1} and the null space (a
+  nonnegative null vector) or the range of the Gramian (a witness), and
+  only when neither converges within a fixed number of steps (frames
+  scalable with margin 0, or close to it), one witness LP whose duals
+  must pass the same gate.
 
 Every route returns through one gate per kind of answer, which judges
 it from its vector and the system alone: _certificate (x >= 0, residual
-on the raw columns within tol, margin min x) and _sound_witness (y'b
+on the raw columns within tol, margin min x), _sound_witness (y'b
 above the most y'A x reaches on the trace row, or on the oracle's row
-1'x = 1).
+1'x = 1) and, in the oracle, _null_vector (min x >= -tol on the row
+1'x = 1, with ||G x|| at most tol max(1, max_i G_ii) ||x||).
 
 The agreement of the solver and the oracle is a checked invariant,
 never assumed.  The solver's routes on a Frame read the same rows of
@@ -567,35 +570,71 @@ def _diagram_gramian(unit, cplx: bool) -> np.ndarray:
     return (n * overlap - 1.0) / max(n - 1.0, 1.0)
 
 
+def _null_vector(gram, x, tol) -> None:
+    """Raise NumericalFailure ("undecided") unless x proves that gram has a
+    nonnegative null vector.
+
+    x must lie on the row 1'x = 1 within tol, have min x >= -tol and
+    ||G x|| <= theta' ||x||, theta' = tol max(1, max_i G_ii).  As
+    max_i G_ii <= lambda_max, theta' is at most the oracle's null cutoff
+    theta = tol max(1, lambda_max), so no x passes when every eigenvalue
+    of G exceeds theta: then ||G x|| >= lambda_min ||x|| > theta ||x||.
+    """
+    low, excess = float(x.min()), float(x.sum()) - 1.0
+    defect, size = float(np.linalg.norm(gram @ x)), float(np.linalg.norm(x))
+    bound = tol * max(1.0, float(gram.diagonal().max())) * size
+    if not (low >= -tol and abs(excess) <= tol and defect <= bound):
+        raise NumericalFailure(f"undecided: no nonnegative null vector (min x {low:.3e}, "
+                               f"1'x - 1 {excess:.3e}, ||Gx|| {defect:.3e} against "
+                               f"theta' ||x|| {bound:.3e})")
+
+
+def _inverse_iteration(gram, c, tol) -> bool:
+    """Whether z = M (M c), M = (G + delta I)^-1 applied by two linear
+    solves and delta = tol max(1, tr G) / k, scaled to 1'z = 1, passes
+    _null_vector."""
+    k = gram.shape[0]
+    shifted = gram.copy()
+    shifted.flat[::k + 1] += tol * max(1.0, float(np.trace(gram))) / k
+    try:
+        z = np.linalg.solve(shifted, np.linalg.solve(shifted, c))
+        _null_vector(gram, z / z.sum(), tol)
+    except (np.linalg.LinAlgError, NumericalFailure):
+        return False
+    return True
+
+
 def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     """Diagram-Gramian scalability oracle.
 
     Vectors are unit-normalized first (the characterization is stated
     for unit-norm frames; rescaling is absorbed into the weights).
     Returns (Gramian G of the diagram vectors, orthonormal basis of its
-    null space, whether a nonnegative nonzero null vector exists).  G is
-    formed in closed form from the unit columns (_diagram_gramian), apart
-    from the solver's rows.  The null dimension d counts the eigenvalues
-    of G at most theta = tol max(1, lambda_max), and every answer rests
-    on a proof that the oracle checks itself:
+    null space or None, whether a nonnegative nonzero null vector
+    exists).  G is formed in closed form from the unit columns
+    (_diagram_gramian), apart from the solver's rows.  The null dimension
+    d counts the eigenvalues of G at most theta = tol max(1, lambda_max),
+    and every answer rests on a proof that the oracle checks itself:
 
     * d = 0 without an eigendecomposition when G - s I has a Cholesky
       factor, s = tol max(1, tr G) + 2(k + 2) u tr G with u the unit
       roundoff: then lambda_min(G) > tol max(1, tr G) >= theta, the last
       term covering the rounding of the factorization (Rump, BIT 46
       (2006)).  The attempt is skipped when k exceeds the dimension of the
-      diagram vectors, where d >= 1 is certain; otherwise the
-      eigenvalues decide d = 0 as well;
-    * d = 1 decides by the signs of the unit null vector, which no column
-      norm enters;
-    * d >= 2 is "found" when v = N N' c, c_i = |f_i|^2 from the raw
-      columns, has v >= -tol max|v| and ||v|| > tol ||c||: the projection
-      onto the null space of the weights that make a tight frame Parseval
-      (c itself is a null vector then, as are the group masses of a
-      repeated orbit).  Otherwise _null_cone decides by alternating
-      projections, and by one LP on the frames they leave undecided:
-      those scalable with margin 0, and a few that converge slowly near
-      that boundary.
+      diagram vectors, where d >= 1 is certain;
+    * "found" without an eigendecomposition, and with None for the null
+      basis, when two steps of shifted inverse iteration from c,
+      c_i = |f_i|^2 from the raw columns, give a vector that passes
+      _null_vector (_inverse_iteration).  They give the unit null vector
+      at d = 1 and, at d >= 2, the projection onto the null space of the
+      weights that make a tight frame Parseval (c itself is a null vector
+      then, as are the group masses of a repeated orbit);
+    * otherwise the eigenvalues decide: d = 0 is "not found", d = 1
+      decides by the signs of the unit null vector, which no column norm
+      enters, and d >= 2 goes to _null_cone, which decides by
+      alternating projections, and by one LP on the frames they leave
+      undecided: those scalable with margin 0, and a few that converge
+      slowly near that boundary.
 
     NumericalFailure ("undecided") is raised when no proof is found.
     """
@@ -609,26 +648,23 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
         rounding = (k + 2) * np.finfo(float).eps * trace   # 2(k + 2) u tr G
         if _factors(gram, tol * max(1.0, trace) + rounding):
             return gram, np.zeros((k, 0)), False
+    if _inverse_iteration(gram, c, tol):
+        return gram, None, True
     try:
         lam, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
-    theta = tol * max(1.0, float(lam[-1]))
-    null = lam <= theta
+    null = lam <= tol * max(1.0, float(lam[-1]))
     null_basis = vecs[:, null]
     if null_basis.shape[1] == 0:
         return gram, null_basis, False
     if null_basis.shape[1] == 1:
         u = null_basis[:, 0]
         return gram, null_basis, bool(u.min() >= -tol or u.max() <= tol)
-
-    v = null_basis @ (null_basis.T @ c)
-    if v.min() >= -tol * np.max(np.abs(v)) and np.linalg.norm(v) > tol * np.linalg.norm(c):
-        return gram, null_basis, True
-    return gram, null_basis, _null_cone(gram, null_basis, vecs[:, ~null], theta, tol)
+    return gram, null_basis, _null_cone(gram, null_basis, vecs[:, ~null], tol)
 
 
-def _null_cone(gram, null_basis, range_basis, theta, tol) -> bool:
+def _null_cone(gram, null_basis, range_basis, tol) -> bool:
     """Whether some x >= 0 with 1'x = 1 lies in the null space N of gram.
 
     The system is posed on A = [R'; 1'], b = e_last, with R the range
@@ -656,12 +692,12 @@ def _null_cone(gram, null_basis, range_basis, theta, tol) -> bool:
     * otherwise one LP, max b'y subject to A'y <= 0 and -1 <= y <= 1,
       which y = 0 makes feasible.  A gap b'y above tol is a witness and
       must pass _sound_witness.  Else the LP's duals of the rows A'y <= 0,
-      x = -row_dual, solve A x = b, and they answer True only when x is a
-      nonnegative null vector: min x >= -tol, |1'x - 1| <= tol and
-      ||G x|| <= theta ||x||.  Boundary frames reach the LP, such as unit
-      columns at 0, 90, 10 and 45 degrees, and so did 12 of 800 badly
-      scaled draws (n = 2 to 4, columns scaled by exp(U(-12, 12))); on
-      all 800 the verdicts matched those of the LP alone.
+      x = -row_dual, solve A x = b, and they answer True only when x
+      passes _null_vector, the gate of the oracle's candidate.  Boundary
+      frames reach the LP, such as unit columns at 0, 90, 10 and 45
+      degrees, and so did 12 of 800 badly scaled draws (n = 2 to 4,
+      columns scaled by exp(U(-12, 12))); on all 800 the verdicts
+      matched those of the LP alone.
 
     Any other outcome raises NumericalFailure.
     """
@@ -691,13 +727,8 @@ def _null_cone(gram, null_basis, range_basis, theta, tol) -> bool:
     if float(beq @ res.x) > tol:
         _sound_witness(res.x, aeq, beq, ones, 1.0)
         return False
-    x = -res.row_dual
-    defect, size = float(np.linalg.norm(gram @ x)), float(np.linalg.norm(x))
-    if x.min() >= -tol and abs(x.sum() - 1.0) <= tol and defect <= theta * size:
-        return True
-    raise NumericalFailure(f"undecided: the witness program's duals are no nonnegative "
-                           f"null vector (min x {x.min():.3e}, 1'x - 1 {x.sum() - 1.0:.3e}, "
-                           f"||Gx|| {defect:.3e} against theta ||x|| {theta * size:.3e})")
+    _null_vector(gram, -res.row_dual, tol)
+    return True
 
 
 def build_diagonal_system(a, generators, iters):
