@@ -13,8 +13,7 @@ from .errors import (AllZeroCoefficients, CriterionFailed, DegenerateTrace,
                      IndexOutOfRange, InputError, KTooSmall, NotAFrame,
                      NotHermitian, NotNormal, NumericalFailure, ShapeMismatch,
                      SingularTransport, TemplateMismatch, ZeroVector)
-from .numkernel import (DEFAULT_TOL, Feasible, InfeasibleWitness,
-                        nonneg_feasible, unitary_diagonalize)
+from .numkernel import DEFAULT_TOL, InfeasibleWitness, unitary_diagonalize
 from .frames import (Frame, FrameReport, FusionDecomposition, analyze,
                      canonical_dual, frame_operator, fusion_check,
                      verify_duality)
@@ -54,8 +53,7 @@ __all__ = [
     "InputError", "KTooSmall", "NotAFrame", "NotHermitian", "NotNormal",
     "NumericalFailure", "ShapeMismatch", "SingularTransport",
     "TemplateMismatch", "ZeroVector",
-    "DEFAULT_TOL", "Feasible", "InfeasibleWitness", "nonneg_feasible",
-    "unitary_diagonalize",
+    "DEFAULT_TOL", "InfeasibleWitness", "unitary_diagonalize",
     "Frame", "FrameReport", "FusionDecomposition", "analyze",
     "canonical_dual", "frame_operator", "fusion_check", "verify_duality",
     "DynamicalSystemSpec", "SampleSet", "TransportResult",

@@ -26,23 +26,23 @@ these routes, in this order (_solve):
   each component that is left;
 * the diagram-vector Gramian test on the unit-normalized frame (oracle),
   its Gramian in closed form from the unit columns, apart from K and the
-  solver's rows, and never split: an empty null space is proved by a
-  shifted Cholesky factorization, a nonnegative null vector by two steps
-  of shifted inverse iteration on (|f_i|^2), with no eigendecomposition;
-  only when that candidate fails its gate do the eigenvalues decide:
-  null dimension 1 by the signs of the null vector, and from 2 on
-  alternating projections between {x >= 1} and the null space (a
-  nonnegative null vector) or the range of the Gramian (a witness), and
-  only when neither converges within a fixed number of steps (frames
-  scalable with margin 0, or close to it), one witness LP whose duals
-  must pass the same gate.
+  solver's rows, and never split, with tol its one null cutoff: an empty
+  null space is proved by a shifted Cholesky factorization, a
+  nonnegative null vector by two steps of shifted inverse iteration on
+  (|f_i|^2), with no eigendecomposition; only when that candidate fails
+  its gate does eigh give the null space (the eigenvalues at most tol),
+  of any dimension, 0 included, and alternating projections between
+  {x >= 1} and the null space (a nonnegative null vector) or the range
+  of the Gramian (a witness) decide; only when neither converges within
+  a fixed number of steps (frames scalable with margin 0, or close to
+  it) does one witness LP run, whose duals must pass the same gate.
 
 Every route returns through one gate per kind of answer, which judges
 it from its vector and the system alone: _certificate (x >= 0, residual
 on the raw columns within tol, margin min x), _sound_witness (y'b
 above the most y'A x reaches on the trace row, or on the oracle's row
 1'x = 1) and, in the oracle, _null_vector (min x >= -tol on the row
-1'x = 1, with ||G x|| at most tol max(1, max_i G_ii) ||x||).
+1'x = 1, with ||G x|| at most tol ||x||).
 
 The agreement of the solver and the oracle is a checked invariant,
 never assumed.  The solver's routes on a Frame read the same rows of
@@ -570,38 +570,37 @@ def _diagram_gramian(unit, cplx: bool) -> np.ndarray:
     return (n * overlap - 1.0) / max(n - 1.0, 1.0)
 
 
-def _null_vector(gram, x, tol) -> None:
-    """Raise NumericalFailure ("undecided") unless x proves that gram has a
-    nonnegative null vector.
+def _null_vector(gram, x, tol) -> Optional[str]:
+    """None when x proves that gram has a nonnegative null vector, else
+    the reason it does not, as a NumericalFailure message ("undecided").
 
-    x must lie on the row 1'x = 1 within tol, have min x >= -tol and
-    ||G x|| <= theta' ||x||, theta' = tol max(1, max_i G_ii).  As
-    max_i G_ii <= lambda_max, theta' is at most the oracle's null cutoff
-    theta = tol max(1, lambda_max), so no x passes when every eigenvalue
-    of G exceeds theta: then ||G x|| >= lambda_min ||x|| > theta ||x||.
+    x must have min x >= -tol, lie on the row 1'x = 1 within tol and have
+    ||G x|| <= tol ||x||: the oracle's one definition of a null vector,
+    whose cutoff tol is also the one of its Cholesky proof and of its
+    eigenvalue split.  G x is formed only for an x that passes the first
+    two tests, so a mixed-sign vector of _null_cone costs no k x k product.
     """
     low, excess = float(x.min()), float(x.sum()) - 1.0
-    defect, size = float(np.linalg.norm(gram @ x)), float(np.linalg.norm(x))
-    bound = tol * max(1.0, float(gram.diagonal().max())) * size
-    if not (low >= -tol and abs(excess) <= tol and defect <= bound):
-        raise NumericalFailure(f"undecided: no nonnegative null vector (min x {low:.3e}, "
-                               f"1'x - 1 {excess:.3e}, ||Gx|| {defect:.3e} against "
-                               f"theta' ||x|| {bound:.3e})")
+    if not (low >= -tol and abs(excess) <= tol):
+        return (f"undecided: no nonnegative null vector on 1'x = 1 (min x {low:.3e}, "
+                f"1'x - 1 {excess:.3e})")
+    defect, bound = float(np.linalg.norm(gram @ x)), tol * float(np.linalg.norm(x))
+    if not defect <= bound:
+        return (f"undecided: no nonnegative null vector (||Gx|| {defect:.3e} against "
+                f"tol ||x|| {bound:.3e})")
+    return None
 
 
 def _inverse_iteration(gram, c, tol) -> bool:
-    """Whether z = M (M c), M = (G + delta I)^-1 applied by two linear
-    solves and delta = tol max(1, tr G) / k, scaled to 1'z = 1, passes
-    _null_vector."""
-    k = gram.shape[0]
+    """Whether z = M (M c), M = (G + tol I)^-1 applied by two linear
+    solves, scaled to 1'z = 1, passes _null_vector."""
     shifted = gram.copy()
-    shifted.flat[::k + 1] += tol * max(1.0, float(np.trace(gram))) / k
+    shifted.flat[::gram.shape[0] + 1] += tol
     try:
         z = np.linalg.solve(shifted, np.linalg.solve(shifted, c))
-        _null_vector(gram, z / z.sum(), tol)
-    except (np.linalg.LinAlgError, NumericalFailure):
+    except np.linalg.LinAlgError:
         return False
-    return True
+    return _null_vector(gram, z / z.sum(), tol) is None
 
 
 def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
@@ -612,29 +611,30 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     Returns (Gramian G of the diagram vectors, orthonormal basis of its
     null space or None, whether a nonnegative nonzero null vector
     exists).  G is formed in closed form from the unit columns
-    (_diagram_gramian), apart from the solver's rows.  The null dimension
-    d counts the eigenvalues of G at most theta = tol max(1, lambda_max),
-    and every answer rests on a proof that the oracle checks itself:
+    (_diagram_gramian), apart from the solver's rows; its diagonal is 1
+    (real) or lies in [1/2, 1] (complex), so tol is its one null cutoff.
+    "Found" means an x that passes _null_vector: x >= 0 on 1'x = 1 with
+    ||G x|| <= tol ||x||.  Every answer rests on a proof that the oracle
+    checks itself:
 
-    * d = 0 without an eigendecomposition when G - s I has a Cholesky
-      factor, s = tol max(1, tr G) + 2(k + 2) u tr G with u the unit
-      roundoff: then lambda_min(G) > tol max(1, tr G) >= theta, the last
-      term covering the rounding of the factorization (Rump, BIT 46
-      (2006)).  The attempt is skipped when k exceeds the dimension of the
-      diagram vectors, where d >= 1 is certain;
+    * "not found" without an eigendecomposition when G - s I has a
+      Cholesky factor, s = tol + 2(k + 2) u tr G with u the unit
+      roundoff: then lambda_min(G) > tol, so no x passes _null_vector,
+      the last term covering the rounding of the factorization (Rump,
+      BIT 46 (2006)).  The attempt is skipped when k exceeds the
+      dimension of the diagram vectors, where G is singular;
     * "found" without an eigendecomposition, and with None for the null
       basis, when two steps of shifted inverse iteration from c,
       c_i = |f_i|^2 from the raw columns, give a vector that passes
       _null_vector (_inverse_iteration).  They give the unit null vector
-      at d = 1 and, at d >= 2, the projection onto the null space of the
-      weights that make a tight frame Parseval (c itself is a null vector
-      then, as are the group masses of a repeated orbit);
-    * otherwise the eigenvalues decide: d = 0 is "not found", d = 1
-      decides by the signs of the unit null vector, which no column norm
-      enters, and d >= 2 goes to _null_cone, which decides by
-      alternating projections, and by one LP on the frames they leave
-      undecided: those scalable with margin 0, and a few that converge
-      slowly near that boundary.
+      at null dimension 1 and, from 2 on, the projection onto the null
+      space of the weights that make a tight frame Parseval (c itself is
+      a null vector then, as are the group masses of a repeated orbit);
+    * otherwise the eigenvalues at most tol span the null space N, and
+      _null_cone decides from N and the range of G, at every dimension
+      of N, 0 included, by alternating projections and, on the frames
+      they leave undecided (those scalable with margin 0, and a few that
+      converge slowly near that boundary), by one LP.
 
     NumericalFailure ("undecided") is raised when no proof is found.
     """
@@ -643,10 +643,9 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
     cplx = np.iscomplexobj(m)
     c = np.sum(np.abs(m) ** 2, axis=0)
     gram = _diagram_gramian(m / np.sqrt(c), cplx)
-    trace = float(np.trace(gram))
     if k <= (n * n - 1 if cplx else n * (n + 1) // 2 - 1):
-        rounding = (k + 2) * np.finfo(float).eps * trace   # 2(k + 2) u tr G
-        if _factors(gram, tol * max(1.0, trace) + rounding):
+        rounding = (k + 2) * np.finfo(float).eps * float(np.trace(gram))   # 2(k + 2) u tr G
+        if _factors(gram, tol + rounding):
             return gram, np.zeros((k, 0)), False
     if _inverse_iteration(gram, c, tol):
         return gram, None, True
@@ -654,14 +653,8 @@ def gramian_scaling_check(frame: Frame, tol: float = DEFAULT_TOL):
         lam, vecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(str(exc)) from exc
-    null = lam <= tol * max(1.0, float(lam[-1]))
-    null_basis = vecs[:, null]
-    if null_basis.shape[1] == 0:
-        return gram, null_basis, False
-    if null_basis.shape[1] == 1:
-        u = null_basis[:, 0]
-        return gram, null_basis, bool(u.min() >= -tol or u.max() <= tol)
-    return gram, null_basis, _null_cone(gram, null_basis, vecs[:, ~null], tol)
+    null_basis = vecs[:, lam <= tol]
+    return gram, null_basis, _null_cone(gram, null_basis, vecs[:, lam > tol], tol)
 
 
 def _null_cone(gram, null_basis, range_basis, tol) -> bool:
@@ -669,13 +662,12 @@ def _null_cone(gram, null_basis, range_basis, tol) -> bool:
 
     The system is posed on A = [R'; 1'], b = e_last, with R the range
     eigenvectors: R'x = 0, 1'x = 1 has the solutions of [G; 1'] x = (0, 1).
-    Answers, in order:
+    N may have any dimension, 0 included.  Answers, in order:
 
     * alternating projections, at most _CONE_STEPS steps from x = r = 1,
       which read only N and the all-ones vector.  Each step forms
       v = N N'x and w = r - N N'r = R R'r, and
-      - answers True when v >= -tol max|v| and ||v|| > tol ||x||: v is
-        then a nonnegative null vector;
+      - answers True when v, scaled to 1'v = 1, passes _null_vector;
       - answers False when min w > tol max(1, max|w|) and the witness
         y = (-R'w, min w), with y'A = -w' + (min w) 1' <= 0 and gap
         min w, passes _sound_witness on the row 1'x = 1; a witness that
@@ -686,20 +678,21 @@ def _null_cone(gram, null_basis, range_basis, tol) -> bool:
       N holds a vector >= 1 when the frame is strictly scalable, and the
       range does when it is not scalable (Gordan's alternative); the
       projections between that subspace and {x >= 1} then converge into
-      their intersection.  On the boundary (scalable with margin 0)
-      neither holds one and the loop decides nothing, nor does it within
-      the cap on frames that converge slowly near the boundary;
+      their intersection.  An empty N gives w = 1 at once.  On the
+      boundary (scalable with margin 0) neither holds one and the loop
+      decides nothing, nor does it within the cap on frames that
+      converge slowly near the boundary;
     * otherwise one LP, max b'y subject to A'y <= 0 and -1 <= y <= 1,
       which y = 0 makes feasible.  A gap b'y above tol is a witness and
       must pass _sound_witness.  Else the LP's duals of the rows A'y <= 0,
       x = -row_dual, solve A x = b, and they answer True only when x
-      passes _null_vector, the gate of the oracle's candidate.  Boundary
-      frames reach the LP, such as unit columns at 0, 90, 10 and 45
-      degrees, and so did 12 of 800 badly scaled draws (n = 2 to 4,
-      columns scaled by exp(U(-12, 12))); on all 800 the verdicts
-      matched those of the LP alone.
+      passes _null_vector.  Boundary frames reach the LP, such as unit
+      columns at 0, 90, 10 and 45 degrees, and so do 13 of 800 badly
+      scaled draws (n = 2 to 4, columns scaled by exp(U(-12, 12))); on
+      all 800 the verdicts match those of the LP alone.
 
-    Any other outcome raises NumericalFailure.
+    Any other outcome raises NumericalFailure, with _null_vector's reason
+    when the duals fail it.
     """
     k = gram.shape[0]
     ones = np.ones(k)
@@ -709,7 +702,7 @@ def _null_cone(gram, null_basis, range_basis, tol) -> bool:
     x = r = ones
     for _ in range(_CONE_STEPS):
         v = null_basis @ (null_basis.T @ x)
-        if v.min() >= -tol * np.max(np.abs(v)) and np.linalg.norm(v) > tol * np.linalg.norm(x):
+        if v.sum() > 0 and _null_vector(gram, v / v.sum(), tol) is None:
             return True
         w = r - null_basis @ (null_basis.T @ r)
         if w.min() > tol * max(1.0, float(np.max(np.abs(w)))):
@@ -727,7 +720,9 @@ def _null_cone(gram, null_basis, range_basis, tol) -> bool:
     if float(beq @ res.x) > tol:
         _sound_witness(res.x, aeq, beq, ones, 1.0)
         return False
-    _null_vector(gram, -res.row_dual, tol)
+    reason = _null_vector(gram, -res.row_dual, tol)
+    if reason is not None:
+        raise NumericalFailure(reason)
     return True
 
 

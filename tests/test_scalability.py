@@ -952,15 +952,18 @@ class TestGramianOracle:
             for frame in frames:
                 gram, null_basis, found = gramian_scaling_check(frame)
                 assert null_basis.shape == (frame.size, 0) and not found
-        # lambda_min between theta = tol lambda_max and tol tr G: the
-        # Cholesky proof does not apply, and the eigenvalues decide d = 0
-        gram = gramian_scaling_check(frames[0])[0]
-        lam = np.linalg.eigvalsh(gram)
-        tol = 2 * lam[0] / (lam[-1] + np.trace(gram))
-        assert tol * lam[-1] < lam[0] < tol * np.trace(gram)
+        # with the Cholesky proof off, the eigenvalues find the empty null
+        # space, and _null_cone refutes from the range alone, without an LP
+        from dynframe import numkernel
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("linprog called")
+
         eigh, calls = np.linalg.eigh, []
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or eigh(m))
-        _, null_basis, found = gramian_scaling_check(frames[0], tol)
+        monkeypatch.setattr(scalability, "_factors", lambda *args: False)
+        monkeypatch.setattr(numkernel, "linprog", no_lp)
+        _, null_basis, found = gramian_scaling_check(frames[0])
         assert len(calls) == 1 and null_basis.shape == (5, 0) and not found
 
     def test_range_candidate_witness(self, monkeypatch):
@@ -1023,7 +1026,7 @@ class TestGramianOracle:
         off = vecs[:, -1]                      # the top range eigenvector
         for bad in (-x,                        # negative entries
                     2 * x,                     # 1'x = 2
-                    x + 1e-6 * off * np.linalg.norm(x)):  # G x far above theta ||x||
+                    x + 1e-6 * off * np.linalg.norm(x)):  # G x far above tol ||x||
             def answer(*args, bad=bad, **kwargs):
                 return replace(linprog(*args, **kwargs), row_dual=-bad)
 
@@ -1033,8 +1036,11 @@ class TestGramianOracle:
 
     def test_projections_agree_with_the_lp(self, rng, monkeypatch):
         # the verdict of the projection loop against the LP alone
-        # (_CONE_STEPS = 0) on frames whose null dimension is at least 2,
-        # so that the LP, the fallback, stays cross-checked
+        # (_CONE_STEPS = 0) on frames of every null dimension that reaches
+        # the loop, so that the LP, the fallback, stays cross-checked.  With
+        # the Cholesky proof off, frames with an empty null space reach it
+        # too, and badly scaled Gaussian frames with k = n(n+1)/2 have null
+        # dimension 1
         from dynframe import numkernel
 
         frames = []
@@ -1043,20 +1049,26 @@ class TestGramianOracle:
             frames += [_orthant_frame(rng, n, k), _cap_frame(rng, n, k),
                        random_scalable_frame(rng, n, k)[0]]
         frames += [_bad_block_frame(rng, p, int(rng.integers(p))) for p in (2, 3, 4, 5)]
-        cone, reached = scalability._null_cone, []
-        monkeypatch.setattr(scalability, "_null_cone",
-                            lambda *args: reached.append(True) or cone(*args))
+        frames += [_orthant_frame(rng, 4, 5), _cap_frame(rng, 5, 7)]
+        for n in (2, 3, 4, 2, 3, 4):
+            k = n * (n + 1) // 2
+            frames.append(Frame(rng.standard_normal((n, k))
+                                * np.exp(rng.uniform(-12.0, 12.0, size=k))))
+        monkeypatch.setattr(scalability, "_factors", lambda *args: False)
+        cone, dims = scalability._null_cone, []
+        monkeypatch.setattr(scalability, "_null_cone", lambda gram, null_basis, *args: (
+            dims.append(null_basis.shape[1]) or cone(gram, null_basis, *args)))
         projected = [gramian_scaling_check(frame)[2] for frame in frames]
-        cone_frames = len(reached)
+        assert dims.count(0) == 2 and dims.count(1) == 5 and len(dims) == 21
         linprog, calls = numkernel.linprog, []
         monkeypatch.setattr(numkernel, "linprog",
                             lambda *a, **kw: calls.append(True) or linprog(*a, **kw))
         monkeypatch.setattr(scalability, "_CONE_STEPS", 0)
         assert [gramian_scaling_check(frame)[2] for frame in frames] == projected
-        assert projected.count(True) == 4 and projected.count(False) == 12
+        assert projected.count(True) == 5 and projected.count(False) == 19
         # one LP for each frame that reached the cone step: all but the
-        # Parseval-with-weights frames that the inverse-iteration candidate decides
-        assert len(calls) == cone_frames >= 12
+        # three frames that the inverse-iteration candidate decides
+        assert len(calls) == 21
 
     def test_null_vector_gate(self):
         # [I I] over R^3: columns i and i + 3 are equal, so e_i - e_{i+3}
@@ -1065,14 +1077,31 @@ class TestGramianOracle:
         gram = gramian_scaling_check(Frame(np.hstack([np.eye(3), np.eye(3)])))[0]
         edge = np.array([2.0, 1.0, 1.0, 0.0, 1.0, 1.0]) / 6.0
         assert np.linalg.norm(gram @ edge) <= 1e-15
-        scalability._null_vector(gram, edge, tol)
+        assert scalability._null_vector(gram, edge, tol) is None
         shift = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 0.0])
         for bad in (np.eye(6)[0],                       # nonnegative, ||G x|| = ||G e_1|| >= 1
                     edge + 2 * tol * shift,             # a null vector with x_4 = -2 tol
                     2 * edge):                          # 1'x = 2
-            with pytest.raises(NumericalFailure, match="undecided"):
-                scalability._null_vector(gram, bad, tol)
-        scalability._null_vector(gram, edge + 0.5 * tol * shift, tol)
+            assert scalability._null_vector(gram, bad, tol).startswith("undecided")
+        assert scalability._null_vector(gram, edge + 0.5 * tol * shift, tol) is None
+
+    def test_found_only_through_the_null_vector_gate(self, rng, monkeypatch):
+        # with _null_vector refusing every vector, no route answers "found":
+        # scalable frames that the candidate, the projections (null
+        # dimension 1, 2 and more) or the LP's duals decide are undecided,
+        # with the gate's reason, and refuted frames keep their verdict
+        monkeypatch.setattr(scalability, "_null_vector", lambda *args: "undecided: refused")
+        big = 1e5 / np.sqrt(2)
+        t = np.radians([0.0, 90.0, 10.0, 45.0])
+        scalable = [random_scalable_frame(rng, 3, 8)[0], random_parseval(rng, 4, 12),
+                    cols([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [big, big, 0], [big, 0, big]),
+                    Frame(np.vstack([np.cos(t), np.sin(t)]))]
+        for frame in scalable:
+            with pytest.raises(NumericalFailure, match="undecided: refused"):
+                gramian_scaling_check(frame)
+        refuted = [_orthant_frame(rng, 4, 5), _cap_frame(rng, 3, 8), _RANGE_LEFT_INFEASIBLE,
+                   _bad_block_frame(rng, 3, 1)]
+        assert not any(gramian_scaling_check(frame)[2] for frame in refuted)
 
     def test_candidate_route_agrees_with_the_eigenvalues(self, rng, monkeypatch):
         # the verdicts with the inverse-iteration candidate on and off
